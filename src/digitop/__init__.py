@@ -28,7 +28,6 @@ from .verifier import (
     FAILS,
     HOLDS,
     UNKNOWN,
-    PruningRules,
     SearchBudget,
     VerificationReport,
     enumerate_continuous_self_maps,
@@ -79,7 +78,6 @@ __all__ = [
     "FAILS",
     "HOLDS",
     "UNKNOWN",
-    "PruningRules",
     "SearchBudget",
     "VerificationReport",
     "enumerate_continuous_self_maps",

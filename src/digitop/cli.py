@@ -11,9 +11,8 @@ import click
 
 from . import constructions as build_mod
 from .constructions import NamedComplex
-from .graph import DisconnectedImageError
+from .graph import DisconnectedImageError, UnknownVertexError
 from .serialization import (
-    DocumentError,
     complex_to_document,
     document_to_complex,
     report_to_document,
@@ -53,11 +52,20 @@ def main(ctx: click.Context, budget_nodes: int, budget_ms: int, seed: int, quiet
     ctx.obj = {"budget": budget, "seed": seed, "quiet": quiet}
 
 
+def _reason(exc: Exception) -> str:
+    """One line for a bad-input error; a KeyError's str() is a quoted repr."""
+    if isinstance(exc, UnknownVertexError):
+        return exc.args[0]
+    if isinstance(exc, KeyError):
+        return f"missing field {exc}"
+    return str(exc)
+
+
 def _load_complex(path: str) -> NamedComplex:
     try:
         return document_to_complex(json.loads(Path(path).read_text()))
-    except (OSError, json.JSONDecodeError, DocumentError, ValueError) as exc:
-        raise click.UsageError(f"cannot read image {path}: {exc}")
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise click.UsageError(f"cannot read image {path}: {_reason(exc)}")
 
 
 def _write_or_print(text: str, out: Optional[str], quiet: bool) -> None:
@@ -69,7 +77,7 @@ def _write_or_print(text: str, out: Optional[str], quiet: bool) -> None:
 
 def _resolve_set(nc: NamedComplex, spec: str) -> List[int]:
     """A set spec is 'all', 'all-minus-<spec>', a +-joined union of named
-    sets, or a path to a JSON id list."""
+    sets, or a path to a JSON list of vertex ids."""
     if spec == "all":
         return list(range(nc.image.n))
     if spec.startswith("all-minus-"):
@@ -84,7 +92,12 @@ def _resolve_set(nc: NamedComplex, spec: str) -> List[int]:
                 ids = json.loads(Path(term).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise click.UsageError(f"cannot read set file {term}: {exc}")
-            members |= set(int(x) for x in ids)
+            if not isinstance(ids, list) or not all(type(x) is int for x in ids):
+                raise click.UsageError(f"set file {term} is not a JSON list of ids")
+            try:
+                members |= {nc.image.check_vertex(x) for x in ids}
+            except UnknownVertexError as exc:
+                raise click.UsageError(f"set file {term}: {_reason(exc)}")
         else:
             raise click.UsageError(
                 f"unknown set {term!r}: not a named set of the image nor a file"
@@ -206,7 +219,7 @@ def cmd_verify(ctx, property, image_path, set_spec, s, m, n, out):
             report = is_limiting(nc.image, subset, m, n, budget)
         else:
             report = is_minimal_freezing(nc.image, subset, budget)
-    except DisconnectedImageError as exc:
+    except ValueError as exc:  # a disconnected image, or a negative bound
         raise click.UsageError(str(exc))
     _write_or_print(
         json.dumps(report_to_document(report), indent=2), out, ctx.obj["quiet"]

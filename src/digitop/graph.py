@@ -3,14 +3,18 @@
 The canonical representation is an explicit symmetric edge set over vertex
 ids 0..N-1.  Images built from lattice points with a c_u adjacency
 materialize their edges at construction and remember (u, dimension) so that
-coordinate-aware reasoning (boundary, pulling) knows it applies.
+coordinate-aware reasoning (the boundary Bd) knows it applies.
+
+Connectivity is one graph traversal.  Distances come from an n×n matrix of
+BFS rows, built on first use by `distance`, `diameter` and the verifier's
+displacement balls.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .lattice import Point, check_point, cu_adjacent
 
@@ -70,7 +74,7 @@ class DigitalImage:
             (1 << x) | sum(1 << y for y in self._adj[x]) for x in range(n)
         ]
         self._dist: Optional[List[List[float]]] = None
-        self._upaths: Dict[Tuple[int, int], Optional[Tuple[int, ...]]] = {}
+        self._connected: Optional[bool] = None
         self._point_index = {p: i for i, p in enumerate(self.coords) if p is not None}
 
     # -- constructors ------------------------------------------------------
@@ -162,9 +166,17 @@ class DigitalImage:
         return int(d) if d is not INF else INF
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return all(d is not INF for d in self._distance_matrix()[0])
+        """One traversal from vertex 0, cached; the empty image is connected."""
+        if self._connected is None:
+            seen = {0} if self.n else set()
+            stack = list(seen)
+            while stack:
+                for w in self._adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            self._connected = len(seen) == self.n
+        return self._connected
 
     def diameter(self) -> int:
         if self.n == 0:
@@ -179,50 +191,6 @@ class DigitalImage:
         for x in members:
             bits |= self.closed_neighborhood_bits(self.check_vertex(x))
         return bits == (1 << self.n) - 1 if self.n else True
-
-    def unique_shortest_path(self, x: int, y: int) -> Optional[Tuple[int, ...]]:
-        """The shortest path from x to y when it is unique, else None.
-
-        Path counting runs over the BFS layer DAG with counts capped at 2.
-        """
-        self.check_vertex(x)
-        self.check_vertex(y)
-        key = (x, y) if x <= y else (y, x)
-        if key not in self._upaths:
-            self._upaths[key] = self._compute_unique_path(*key)
-        path = self._upaths[key]
-        if path is not None and path and path[0] != x:
-            path = tuple(reversed(path))
-        return path
-
-    def _compute_unique_path(self, x: int, y: int) -> Optional[Tuple[int, ...]]:
-        if x == y:
-            return (x,)
-        dist = {x: 0}
-        count = {x: 1}
-        pred = {}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in self._adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        count[w] = min(count[v], 2)
-                        pred[w] = v
-                        nxt.append(w)
-                    elif dist[w] == dist[v] + 1:
-                        count[w] = 2
-            frontier = nxt
-        if y not in dist:
-            raise DisconnectedImageError(f"vertices {x} and {y} are not connected")
-        if count[y] >= 2:
-            return None
-        path = [y]
-        while path[-1] != x:
-            path.append(pred[path[-1]])
-        path.reverse()
-        return tuple(path)
 
 
 def neighborhood(image: DigitalImage, x: int) -> FrozenSet[int]:
@@ -244,8 +212,3 @@ def diameter(image: DigitalImage) -> int:
 def is_dominating(image: DigitalImage, members: Iterable[int]) -> bool:
     return image.is_dominating(members)
 
-
-def unique_shortest_path(
-    image: DigitalImage, x: int, y: int
-) -> Optional[Tuple[int, ...]]:
-    return image.unique_shortest_path(x, y)

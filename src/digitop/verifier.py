@@ -5,15 +5,17 @@ All three properties reduce to one counterexample search: find a continuous
 self-map f whose values stay inside per-vertex candidate sets (singletons for
 pointwise-fixed vertices, displacement balls for bounded ones) such that some
 vertex escapes its allowed displacement ball.  The search is a complete
-depth-first assignment over bitset domains with arc-consistency propagation,
-plus three individually toggleable pruning rules:
+depth-first assignment over bitset domains: arc-consistency propagation
+(AC-3) to a fixpoint at every node, a viability check that cuts subtrees in
+which no vertex can still escape, and branching on values in vertex-id order.
 
-  unique_path       vertices on a unique shortest path between two pinned
-                    vertices are pinned too (applied to closure at the root);
-  far_values_first  try values far from the vertex before the identity value;
-  pulling           on coordinate-backed c_u images, a pinned vertex moved
-                    past itself in coordinate i drags each neighbor behind it
-                    in the same direction.
+The paper's unique-path and pulling lemmas are not engine rules, because
+the arc-consistency fixpoint already implies both:
+
+  unique path  on a unique geodesic x = v_0..v_k = y with x and y fixed,
+               dom(v_i) lies in B(x,i) ∩ B(y,k-i), which is {v_i};
+  pulling      if x is pinned to v with v_i > x_i > y_i for a neighbour y,
+               every point of N*(v) has coordinate i >= v_i - 1 >= x_i > y_i.
 
 Exceeding the node or wall-clock budget yields the distinguished verdict
 "unknown", never a guess.
@@ -49,17 +51,6 @@ class SearchBudget:
 
 
 DEFAULT_BUDGET = SearchBudget()
-
-
-@dataclass(frozen=True)
-class PruningRules:
-    unique_path: bool = True
-    far_values_first: bool = True
-    pulling: bool = True
-
-
-DEFAULT_RULES = PruningRules()
-NO_RULES = PruningRules(False, False, False)
 
 
 class _BudgetExceeded(Exception):
@@ -122,7 +113,6 @@ class _SelfMapSearch:
         domains: Sequence[int],
         escape: Optional[Sequence[int]],
         budget: SearchBudget,
-        rules: PruningRules,
         count_cap: Optional[int] = None,
     ) -> None:
         self.img = image
@@ -131,10 +121,12 @@ class _SelfMapSearch:
         self.domains0 = list(domains)
         self.escape = list(escape) if escape is not None else None
         self.budget = budget
-        self.rules = rules
         self.count_cap = count_cap
         self.count = 0
         self.nodes = 0
+        # The benchmark reports one figure per key, so the key set is fixed.
+        # unique_path_forced and pulling_filtered are always 0: arc
+        # consistency implies both rules (see the module docstring).
         self.stats: Dict[str, int] = {
             "unique_path_forced": 0,
             "pulling_filtered": 0,
@@ -142,18 +134,8 @@ class _SelfMapSearch:
             "wipeouts": 0,
         }
         self._union_memo: Dict[int, int] = {}
-        self._coord_masks: Dict[Tuple[str, int, int], int] = {}
         anchors = [x for x in range(self.n) if self.domains0[x] != self.full]
         self._layer = self._bfs_layers(anchors)
-        if rules.far_values_first and image.is_connected():
-            dm = image._distance_matrix()
-            self._value_order = [
-                sorted(range(self.n), key=lambda v, x=x: (-dm[x][v], v))
-                for x in range(self.n)
-            ]
-        else:
-            self._value_order = [list(range(self.n))] * self.n
-        self._pull_on = rules.pulling and image.is_coordinate_backed
 
     def _bfs_layers(self, anchors: List[int]) -> List[int]:
         layer = [self.n + 1] * self.n
@@ -183,20 +165,8 @@ class _SelfMapSearch:
             self._union_memo[mask] = cached
         return cached
 
-    def _coord_mask(self, kind: str, i: int, t: int) -> int:
-        key = (kind, i, t)
-        cached = self._coord_masks.get(key)
-        if cached is None:
-            cached = 0
-            for v in range(self.n):
-                c = self.img.coords[v][i]
-                if (kind == "gt" and c > t) or (kind == "lt" and c < t):
-                    cached |= 1 << v
-            self._coord_masks[key] = cached
-        return cached
-
     def _propagate(self, dom: List[int], queue: List[int]) -> bool:
-        """Arc-consistency (plus pulling on pinned values) to fixpoint."""
+        """Arc consistency to fixpoint: dom(y) &= N*(dom(x)) along each edge."""
         while queue:
             x = queue.pop()
             dx = dom[x]
@@ -204,64 +174,15 @@ class _SelfMapSearch:
                 self.stats["wipeouts"] += 1
                 return False
             allowed = self._union_nbhd(dx)
-            pull = self._pull_on and dx & (dx - 1) == 0
-            if pull:
-                v = dx.bit_length() - 1
-                pv = self.img.coords[v]
-                px = self.img.coords[x]
             for y in self.img.neighbors(x):
                 ny = dom[y] & allowed
-                if pull:
-                    py = self.img.coords[y]
-                    for i in range(len(px)):
-                        if pv[i] > px[i] > py[i]:
-                            ny &= self._coord_mask("gt", i, py[i])
-                        elif pv[i] < px[i] < py[i]:
-                            ny &= self._coord_mask("lt", i, py[i])
                 if ny != dom[y]:
-                    if ny != dom[y] & allowed:
-                        self.stats["pulling_filtered"] += 1
                     if ny == 0:
                         self.stats["wipeouts"] += 1
                         return False
                     dom[y] = ny
                     queue.append(y)
         return True
-
-    def _force_unique_paths(self, dom: List[int]) -> Optional[bool]:
-        """Pin interiors of unique shortest paths between pinned-to-self
-        vertices, to closure.  Returns False on wipeout, True if anything
-        changed, None if nothing changed."""
-        if not self.rules.unique_path:
-            return None
-        tried: set = set()
-        any_change = False
-        while True:
-            pinned = [x for x in range(self.n) if dom[x] == 1 << x]
-            changed = False
-            for ai in range(len(pinned)):
-                for bi in range(ai + 1, len(pinned)):
-                    pair = (pinned[ai], pinned[bi])
-                    if pair in tried:
-                        continue
-                    tried.add(pair)
-                    try:
-                        path = self.img.unique_shortest_path(*pair)
-                    except DisconnectedImageError:
-                        continue
-                    if path is None:
-                        continue
-                    for v in path[1:-1]:
-                        if dom[v] & (1 << v) == 0:
-                            self.stats["wipeouts"] += 1
-                            return False
-                        if dom[v] != 1 << v:
-                            dom[v] = 1 << v
-                            self.stats["unique_path_forced"] += 1
-                            changed = True
-                            any_change = True
-            if not changed:
-                return True if any_change else None
 
     def _viable(self, dom: List[int]) -> bool:
         """In counterexample mode: can any completion still escape?"""
@@ -312,9 +233,7 @@ class _SelfMapSearch:
                 if (1 << v) & e:
                     return assignment
             return None
-        for v in self._value_order[x]:
-            if (dom[x] >> v) & 1 == 0:
-                continue
+        for v in _bits(dom[x]):
             nd = dom.copy()
             nd[x] = 1 << v
             if self._propagate(nd, [x]):
@@ -329,16 +248,7 @@ class _SelfMapSearch:
         witness = None
         try:
             dom = list(self.domains0)
-            ok = self._propagate(dom, list(range(self.n)))
-            while ok:
-                forced = self._force_unique_paths(dom)
-                if forced is False:
-                    ok = False
-                elif forced is True:
-                    ok = self._propagate(dom, list(range(self.n)))
-                else:
-                    break
-            if ok:
+            if self._propagate(dom, list(range(self.n))):
                 found = self._dfs(dom)
                 if found is not None:
                     status = FOUND
@@ -377,7 +287,6 @@ def _freezing_search(
     image: DigitalImage,
     subset: Iterable[int],
     budget: SearchBudget,
-    rules: PruningRules,
 ) -> SearchResult:
     _require_connected(image)
     members = _check_subset(image, subset)
@@ -386,18 +295,17 @@ def _freezing_search(
     for x in members:
         domains[x] = 1 << x
     escape = [full & ~(1 << x) for x in range(image.n)]
-    return _SelfMapSearch(image, domains, escape, budget, rules).run()
+    return _SelfMapSearch(image, domains, escape, budget).run()
 
 
 def find_counterexample_freezing(
     image: DigitalImage,
     subset: Iterable[int],
     budget: SearchBudget = DEFAULT_BUDGET,
-    rules: PruningRules = DEFAULT_RULES,
 ) -> SearchResult:
     """Search for a continuous non-identity self-map fixing `subset`."""
     members = _check_subset(image, subset)
-    result = _freezing_search(image, members, budget, rules)
+    result = _freezing_search(image, members, budget)
     if result.status == FOUND:
         _check_witness_freezing(image, members, result.witness)
     return result
@@ -439,11 +347,10 @@ def is_freezing(
     image: DigitalImage,
     subset: Iterable[int],
     budget: SearchBudget = DEFAULT_BUDGET,
-    rules: PruningRules = DEFAULT_RULES,
 ) -> VerificationReport:
     """Holds iff the identity is the only continuous self-map fixing subset."""
     members = _check_subset(image, subset)
-    result = find_counterexample_freezing(image, members, budget, rules)
+    result = find_counterexample_freezing(image, members, budget)
     return _report("freezing", {}, members, result, budget)
 
 
@@ -452,7 +359,6 @@ def is_s_cold(
     subset: Iterable[int],
     s: int,
     budget: SearchBudget = DEFAULT_BUDGET,
-    rules: PruningRules = DEFAULT_RULES,
 ) -> VerificationReport:
     """Holds iff every continuous map fixing subset displaces nothing past s."""
     if s < 0:
@@ -465,7 +371,7 @@ def is_s_cold(
         domains[x] = 1 << x
     balls = _ball_masks(image, s)
     escape = [full & ~balls[x] for x in range(image.n)]
-    result = _SelfMapSearch(image, domains, escape, budget, rules).run()
+    result = _SelfMapSearch(image, domains, escape, budget).run()
     if result.status == FOUND:
         w = result.witness
         if (
@@ -483,7 +389,6 @@ def is_limiting(
     m: int,
     n: int,
     budget: SearchBudget = DEFAULT_BUDGET,
-    rules: PruningRules = DEFAULT_RULES,
 ) -> VerificationReport:
     """Holds iff every continuous m-map on subset is an n-map on all of X."""
     if m < 0 or n < 0:
@@ -497,7 +402,7 @@ def is_limiting(
         domains[x] = m_balls[x]
     n_balls = _ball_masks(image, n)
     escape = [full & ~n_balls[x] for x in range(image.n)]
-    result = _SelfMapSearch(image, domains, escape, budget, rules).run()
+    result = _SelfMapSearch(image, domains, escape, budget).run()
     if result.status == FOUND:
         w = result.witness
         if (
@@ -513,7 +418,6 @@ def is_minimal_freezing(
     image: DigitalImage,
     subset: Iterable[int],
     budget: SearchBudget = DEFAULT_BUDGET,
-    rules: PruningRules = DEFAULT_RULES,
 ) -> VerificationReport:
     """Holds iff subset is freezing and no single-vertex deletion is.
 
@@ -523,7 +427,7 @@ def is_minimal_freezing(
     the removable vertex in `detail` (subset is freezing but not minimal).
     """
     members = _check_subset(image, subset)
-    base = find_counterexample_freezing(image, members, budget, rules)
+    base = find_counterexample_freezing(image, members, budget)
     nodes = base.nodes
     elapsed = base.elapsed_ms
     stats = dict(base.stats)
@@ -535,7 +439,7 @@ def is_minimal_freezing(
         return _report("minimal_freezing", {}, members, base, budget)
     for a in members:
         sub = find_counterexample_freezing(
-            image, [x for x in members if x != a], budget, rules
+            image, [x for x in members if x != a], budget
         )
         nodes += sub.nodes
         elapsed += sub.elapsed_ms
@@ -563,13 +467,15 @@ def search_minimal_freezing(
     image: DigitalImage,
     seed_set: Optional[Iterable[int]] = None,
     budget: SearchBudget = DEFAULT_BUDGET,
-    rules: PruningRules = DEFAULT_RULES,
 ) -> MinimalSearchResult:
     """Greedy deletion from a freezing seed down to a minimal freezing set.
 
     The seed defaults to Bd(X) for coordinate-backed images, else all of X.
-    Deletion repeatedly removes the lowest-id vertex whose removal leaves a
-    freezing set; the result admits no single deletion, hence is minimal.
+    One pass in id order removes each vertex whose deletion leaves a freezing
+    set.  A vertex b kept because S - {b} is not freezing stays unremovable
+    once more vertices go: a subset of a non-freezing set is not freezing.
+    So the result admits no single deletion, hence is minimal, and it is the
+    set that restarting the scan from the lowest id after every removal finds.
     """
     _require_connected(image)
     if seed_set is None:
@@ -583,27 +489,22 @@ def search_minimal_freezing(
             current = list(range(image.n))
     else:
         current = _check_subset(image, seed_set)
-    check = find_counterexample_freezing(image, current, budget, rules)
+    check = find_counterexample_freezing(image, current, budget)
     nodes = check.nodes
     if check.status == UNKNOWN:
         return MinimalSearchResult(UNKNOWN, None, nodes)
     if check.status == FOUND:
         raise ValueError("seed set is not a freezing set")
-    while True:
-        removed = None
-        for a in list(current):
-            sub = find_counterexample_freezing(
-                image, [x for x in current if x != a], budget, rules
-            )
-            nodes += sub.nodes
-            if sub.status == UNKNOWN:
-                return MinimalSearchResult(UNKNOWN, None, nodes)
-            if sub.status == NONE:
-                removed = a
-                break
-        if removed is None:
-            return MinimalSearchResult(FOUND, frozenset(current), nodes)
-        current.remove(removed)
+    for a in list(current):
+        sub = find_counterexample_freezing(
+            image, [x for x in current if x != a], budget
+        )
+        nodes += sub.nodes
+        if sub.status == UNKNOWN:
+            return MinimalSearchResult(UNKNOWN, None, nodes)
+        if sub.status == NONE:
+            current.remove(a)
+    return MinimalSearchResult(FOUND, frozenset(current), nodes)
 
 
 def enumerate_continuous_self_maps(
@@ -611,12 +512,11 @@ def enumerate_continuous_self_maps(
     fixed: Iterable[int] = (),
     cap: int = 10**9,
     budget: SearchBudget = DEFAULT_BUDGET,
-    rules: PruningRules = DEFAULT_RULES,
 ) -> MapCount:
     """Exact count of continuous self-maps fixing `fixed` pointwise.
 
-    Counts leaves of the same complete search used by the deciders (every
-    pruning step preserves the full solution set), so this doubles as the
+    Counts leaves of the same complete search used by the deciders (arc
+    consistency removes no continuous map), so this doubles as the
     brute-force oracle for validating them.
     """
     if image.n > 64:
@@ -628,7 +528,7 @@ def enumerate_continuous_self_maps(
     domains = [full] * image.n
     for x in members:
         domains[x] = 1 << x
-    search = _SelfMapSearch(image, domains, None, budget, rules, count_cap=cap)
+    search = _SelfMapSearch(image, domains, None, budget, count_cap=cap)
     result = search.run()
     if result.status == UNKNOWN:
         raise _budget_error()

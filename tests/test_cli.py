@@ -118,6 +118,50 @@ def test_verify_set_expressions(runner, tmp_path):
     assert from_file.exit_code == 0
 
 
+def _assert_usage_error(result):
+    # Exit status 1 means `fails`; bad input must exit 2 with one error line.
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert len([line for line in result.output.splitlines() if "Error" in line]) == 1
+
+
+def test_verify_rejects_out_of_range_id(runner, tmp_path):
+    b = build(runner, tmp_path, "b", "box", "--extents", "2,2", "--u", "1")
+    ids = tmp_path / "ids.json"
+    ids.write_text(json.dumps([0, 99]))
+    _assert_usage_error(
+        runner.invoke(main, ["verify", "freezing", "--image", str(b), "--set", str(ids)])
+    )
+
+
+def test_verify_rejects_non_integer_id(runner, tmp_path):
+    b = build(runner, tmp_path, "b", "box", "--extents", "2,2", "--u", "1")
+    ids = tmp_path / "ids.json"
+    ids.write_text(json.dumps(["a"]))
+    _assert_usage_error(
+        runner.invoke(main, ["verify", "freezing", "--image", str(b), "--set", str(ids)])
+    )
+
+
+def test_verify_rejects_vertex_without_id(runner, tmp_path):
+    b = build(runner, tmp_path, "b", "box", "--extents", "2,2", "--u", "1")
+    doc = json.loads(b.read_text())
+    del doc["vertices"][3]["id"]
+    b.write_text(json.dumps(doc))
+    _assert_usage_error(
+        runner.invoke(main, ["verify", "freezing", "--image", str(b), "--set", "all"])
+    )
+
+
+def test_verify_rejects_negative_bounds(runner, tmp_path):
+    b = build(runner, tmp_path, "b", "box", "--extents", "2,2", "--u", "1")
+    query = ["--image", str(b), "--set", "corners"]
+    _assert_usage_error(runner.invoke(main, ["verify", "cold", *query, "--s", "-1"]))
+    _assert_usage_error(
+        runner.invoke(main, ["verify", "limiting", *query, "--m", "-1", "--n", "0"])
+    )
+
+
 def test_verify_cold(runner, tmp_path):
     cx = build(runner, tmp_path, "cx8", "cone", "--base", "cycle", "--m", "8")
     result = runner.invoke(

@@ -17,6 +17,7 @@ from digitop.graph import (
     DisconnectedImageError,
     UnknownVertexError,
 )
+from geodesics import unique_shortest_path
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +111,9 @@ def test_is_dominating(cycle4):
 def test_unique_shortest_path_q2_lateral_edge():
     q2 = solid_pyramid(2)
     img = q2.image
-    path = img.unique_shortest_path(img.vertex_at((2, 2, 0)), img.vertex_at((0, 0, 2)))
+    path = unique_shortest_path(
+        img, img.vertex_at((2, 2, 0)), img.vertex_at((0, 0, 2))
+    )
     assert path is not None
     assert [img.coords[v] for v in path] == [(2, 2, 0), (1, 1, 1), (0, 0, 2)]
     assert set(path) == set(q2.named_sets["RF"])
@@ -118,13 +121,13 @@ def test_unique_shortest_path_q2_lateral_edge():
 
 def test_unique_shortest_path_absent_on_unit_square():
     b = box([1, 1], 1).image
-    assert b.unique_shortest_path(b.vertex_at((0, 0)), b.vertex_at((1, 1))) is None
+    assert unique_shortest_path(b, b.vertex_at((0, 0)), b.vertex_at((1, 1))) is None
 
 
 def test_unique_shortest_path_trivial_and_disconnected(cycle4):
-    assert cycle4.unique_shortest_path(2, 2) == (2,)
+    assert unique_shortest_path(cycle4, 2, 2) == (2,)
     with pytest.raises(DisconnectedImageError):
-        DigitalImage(2, []).unique_shortest_path(0, 1)
+        unique_shortest_path(DigitalImage(2, []), 0, 1)
 
 
 def _all_small_images():

@@ -21,6 +21,7 @@ from digitop.maps import (
     push_forward,
     random_continuous_map,
 )
+from geodesics import unique_shortest_path
 
 
 def test_mapping_validation():
@@ -173,7 +174,7 @@ def test_unique_path_fixed_point_oracle():
         f = random_continuous_map(img, seed=s)
         fix = fixed_points(f)
         for x, y in combinations(sorted(fix), 2):
-            path = img.unique_shortest_path(x, y)
+            path = unique_shortest_path(img, x, y)
             if path is not None:
                 assert set(path) <= fix
 

@@ -1,7 +1,11 @@
+import json
 from itertools import product
+from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from digitop.cli import main
 from digitop.constructions import (
     box,
     cone,
@@ -12,14 +16,14 @@ from digitop.constructions import (
     suspension,
 )
 from digitop.graph import DigitalImage, DisconnectedImageError
+from digitop.lattice import c1_boundary
 from digitop.maps import Mapping, fixed_points, is_continuous, max_displacement
 from digitop.verifier import (
     FAILS,
     FOUND,
     HOLDS,
+    NONE,
     UNKNOWN,
-    NO_RULES,
-    PruningRules,
     SearchBudget,
     enumerate_continuous_self_maps,
     find_counterexample_freezing,
@@ -162,27 +166,69 @@ def test_search_minimal_freezing():
         search_minimal_freezing(b1.image, b1.named_sets["corners"] - {0})
 
 
-def test_pruning_rules_do_not_change_verdicts():
-    queries = []
-    cx = cone(simple_closed_curve(5).image)
-    queries.append((cx.image, sorted(cx.named_sets["X_base"])[1:]))
+def _restart_minimal(image, seed_set):
+    """Reference: after each removal, rescan from the lowest id."""
+    current = sorted(seed_set)
+    while True:
+        for a in current:
+            rest = [x for x in current if x != a]
+            if find_counterexample_freezing(image, rest).status == NONE:
+                current = rest
+                break
+        else:
+            return frozenset(current)
+
+
+def test_single_pass_minimal_search_matches_restart_loop():
+    images = [pyramid(2), pyramid(3), solid_pyramid(2)]
+    images += [box(extents, u) for extents in ([1, 1], [2, 2]) for u in (1, 2)]
+    for nc in images:
+        image = nc.image
+        bd = c1_boundary(list(image.coords), len(image.coords[0]))
+        seed = [image.vertex_at(p) for p in bd]
+        found = search_minimal_freezing(image)
+        assert found.status == FOUND
+        assert found.members == _restart_minimal(image, seed)
+
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def test_pruning_stats_keys_match_benchmark(tmp_path):
+    # The benchmark's traced run reports one `verifier.stats.<key>` figure per
+    # pruning_stats key, so the key set is part of its interface.
+    prefix = "verifier.stats."
+    declared = {
+        metric["name"][len(prefix):]
+        for metric in json.loads(BENCHMARK.read_text())["per_layer"]
+        if metric["name"].startswith(prefix)
+    }
+    q2 = solid_pyramid(2)
+    w2 = q2.named_sets["W_2"]
     b1 = box([2, 2], 1)
-    queries.append((b1.image, sorted(b1.named_sets["corners"])))
-    queries.append((b1.image, sorted(b1.named_sets["corners"])[:3]))
-    p1 = pyramid(1)
-    queries.append((p1.image, sorted(p1.named_sets["T_1"])))
-    for image, subset in queries:
-        verdicts = set()
-        for a, b, c in product((False, True), repeat=3):
-            rules = PruningRules(unique_path=a, far_values_first=b, pulling=c)
-            verdicts.add(is_freezing(image, subset, rules=rules).verdict)
-        assert len(verdicts) == 1
-
-
-def test_pruning_preserves_enumeration():
-    for nc in (interval(0, 3), box([2, 2], 1), cone(simple_closed_curve(4).image)):
-        baseline = enumerate_continuous_self_maps(nc.image, rules=NO_RULES).count
-        assert enumerate_continuous_self_maps(nc.image).count == baseline
+    sx = suspension(simple_closed_curve(8).image)
+    u = min(sx.named_sets["U"])
+    reports = [
+        is_freezing(q2.image, w2),
+        is_freezing(q2.image, w2 | q2.named_sets["U"]),
+        is_s_cold(sx.image, sx.named_sets["X_base"], 0),
+        is_limiting(sx.image, [x for x in range(sx.image.n) if x != u], 1, 1),
+        is_minimal_freezing(b1.image, b1.named_sets["Bd"]),
+        is_minimal_freezing(b1.image, b1.named_sets["corners"]),
+    ]
+    runner = CliRunner()
+    doc = tmp_path / "q2.json"
+    built = runner.invoke(main, ["build", "solid-pyramid", "--n", "2", "--out", str(doc)])
+    assert built.exit_code == 0, built.output
+    verified = runner.invoke(
+        main, ["--quiet", "verify", "freezing", "--image", str(doc), "--set", "W_2",
+               "--out", str(tmp_path / "report.json")]
+    )
+    assert verified.exit_code == 1, verified.output
+    cli_stats = json.loads((tmp_path / "report.json").read_text())["pruning_stats"]
+    for stats in [r.pruning_stats for r in reports] + [cli_stats]:
+        assert set(stats) == declared
+        assert all(type(v) is int for v in stats.values())
 
 
 def test_freezing_monotone_under_supersets():

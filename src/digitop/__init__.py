@@ -31,7 +31,6 @@ from .verifier import (
     SearchBudget,
     VerificationReport,
     enumerate_continuous_self_maps,
-    find_counterexample_freezing,
     is_freezing,
     is_limiting,
     is_minimal_freezing,
@@ -81,7 +80,6 @@ __all__ = [
     "SearchBudget",
     "VerificationReport",
     "enumerate_continuous_self_maps",
-    "find_counterexample_freezing",
     "is_freezing",
     "is_limiting",
     "is_minimal_freezing",

@@ -227,25 +227,6 @@ def cmd_verify(ctx, property, image_path, set_spec, s, m, n, out):
     ctx.exit({HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, UNKNOWN: EXIT_UNKNOWN}[report.verdict])
 
 
-@main.command("minimal")
-@click.option("--image", "image_path", required=True, type=click.Path())
-@click.option("--set", "set_spec", required=True, type=str)
-@click.option("--out", type=click.Path(), default=None)
-@click.pass_context
-def cmd_minimal(ctx, image_path, set_spec, out):
-    """Shorthand for `verify minimal`."""
-    nc = _load_complex(image_path)
-    subset = _resolve_set(nc, set_spec)
-    try:
-        report = is_minimal_freezing(nc.image, subset, ctx.obj["budget"])
-    except DisconnectedImageError as exc:
-        raise click.UsageError(str(exc))
-    _write_or_print(
-        json.dumps(report_to_document(report), indent=2), out, ctx.obj["quiet"]
-    )
-    ctx.exit({HOLDS: EXIT_HOLDS, FAILS: EXIT_FAILS, UNKNOWN: EXIT_UNKNOWN}[report.verdict])
-
-
 @main.command("search-minimal")
 @click.option("--image", "image_path", required=True, type=click.Path())
 @click.option("--set", "set_spec", default=None, type=str, help="freezing seed set")

@@ -6,8 +6,8 @@ materialize their edges at construction and remember (u, dimension) so that
 coordinate-aware reasoning (the boundary Bd) knows it applies.
 
 Connectivity is one graph traversal.  Distances come from an n×n matrix of
-BFS rows, built on first use by `distance`, `diameter` and the verifier's
-displacement balls.
+BFS rows, built on first use by `distance` and `diameter`; the verifier does
+not use it, since it grows its displacement balls by dilation.
 """
 
 from __future__ import annotations
@@ -191,24 +191,3 @@ class DigitalImage:
         for x in members:
             bits |= self.closed_neighborhood_bits(self.check_vertex(x))
         return bits == (1 << self.n) - 1 if self.n else True
-
-
-def neighborhood(image: DigitalImage, x: int) -> FrozenSet[int]:
-    return image.neighborhood(x)
-
-
-def distance(image: DigitalImage, x: int, y: int) -> float:
-    return image.distance(x, y)
-
-
-def is_connected(image: DigitalImage) -> bool:
-    return image.is_connected()
-
-
-def diameter(image: DigitalImage) -> int:
-    return image.diameter()
-
-
-def is_dominating(image: DigitalImage, members: Iterable[int]) -> bool:
-    return image.is_dominating(members)
-

@@ -25,12 +25,10 @@ from .maps import (
 from .verifier import (
     DEFAULT_BUDGET,
     FAILS,
-    FOUND,
     HOLDS,
     UNKNOWN,
     SearchBudget,
     enumerate_continuous_self_maps,
-    find_counterexample_freezing,
     is_freezing,
     is_limiting,
     is_minimal_freezing,
@@ -69,12 +67,6 @@ class _Checks:
         else:
             self.expect(report.verdict == expected, label)
 
-    def expect_found(self, result, label: str) -> None:
-        if result.status == UNKNOWN:
-            self.unknowns.append(f"{label} (budget exhausted)")
-        else:
-            self.expect(result.status == FOUND, label)
-
     def outcome(self, ok_detail: str) -> Tuple[str, str]:
         if self.failures:
             return FAIL, "; ".join(self.failures[:4])
@@ -104,40 +96,40 @@ def _small_bases() -> List[Tuple[str, DigitalImage]]:
 # -- the independent oracle ----------------------------------------------------
 
 
+def _limits(prop: str, params: Dict[str, int]) -> Tuple[int, int]:
+    """The (m, n) of a query: freezing is (0,0)-limiting, s-cold (0,s)."""
+    if prop == "freezing":
+        return 0, 0
+    if prop == "s_cold":
+        return 0, params["s"]
+    if prop == "limiting":
+        return params["m"], params["n"]
+    raise ValueError(f"no (m, n) for property {prop!r}")
+
+
 def naive_verdict(
     image: DigitalImage,
     prop: str,
     subset: Iterable[int],
     params: Optional[Dict[str, int]] = None,
 ) -> str:
-    """Decide freezing / s_cold / limiting by plain enumeration.
+    """Decide a freezing / s_cold / limiting query by plain enumeration.
 
-    Vertices are assigned in id order, candidates filtered only by continuity
-    against already-assigned neighbors; no bitsets, no ordering heuristics,
-    no propagation.  Usable on small images only.
+    Each is an (m,n)-limiting query: is there a continuous map moving every
+    member by at most m and some vertex by more than n?  Vertices are
+    assigned in id order, candidates filtered only by continuity against
+    already-assigned neighbors; no bitsets, no ordering heuristics, no
+    propagation.  Distances come from the image's distance matrix, not from
+    the engine's balls.  Usable on small images only.
     """
-    params = params or {}
+    m, radius = _limits(prop, params or {})
     n = image.n
-    members = sorted(set(subset))
+    members = set(subset)
     dm = image._distance_matrix()
-    if prop == "freezing":
-        radius = 0
-        domains = [[x] if x in set(members) else list(range(n)) for x in range(n)]
-    elif prop == "s_cold":
-        radius = params["s"]
-        domains = [[x] if x in set(members) else list(range(n)) for x in range(n)]
-    elif prop == "limiting":
-        radius = params["n"]
-        mdist = params["m"]
-        member_set = set(members)
-        domains = [
-            [v for v in range(n) if dm[x][v] <= mdist]
-            if x in member_set
-            else list(range(n))
-            for x in range(n)
-        ]
-    else:
-        raise ValueError(f"naive oracle does not handle {prop!r}")
+    domains = [
+        [v for v in range(n) if dm[x][v] <= m] if x in members else list(range(n))
+        for x in range(n)
+    ]
     escape = [{v for v in range(n) if dm[x][v] > radius} for x in range(n)]
     assignment: List[int] = [0] * n
 
@@ -177,10 +169,9 @@ def row_cone_freezing(scale, budget, seed) -> Tuple[str, str]:
             f"{name}: base freezes the cone",
         )
         for x in base_ids:
-            checks.expect_found(
-                find_counterexample_freezing(
-                    cx.image, [y for y in base_ids if y != x], budget
-                ),
+            checks.expect_verdict(
+                is_freezing(cx.image, [y for y in base_ids if y != x], budget),
+                FAILS,
                 f"{name}: base minus {x} is not freezing",
             )
     return checks.outcome("base is a minimal freezing set for each cone")
@@ -213,19 +204,15 @@ def row_poles_necessity(scale, budget, seed) -> Tuple[str, str]:
         u = min(sx.set_named("U"))
         low = min(sx.set_named("L"))
         everything = list(range(sx.image.n))
-        no_u = find_counterexample_freezing(
-            sx.image, [x for x in everything if x != u], budget
-        )
-        checks.expect_found(no_u, f"cycle-{m}: omitting U admits a witness")
+        no_u = is_freezing(sx.image, [x for x in everything if x != u], budget)
+        checks.expect_verdict(no_u, FAILS, f"cycle-{m}: omitting U admits a witness")
         if no_u.witness is not None:
             checks.expect(
                 no_u.witness.assignment[u] == low,
                 f"cycle-{m}: the witness sends U to L",
             )
-        no_l = find_counterexample_freezing(
-            sx.image, [x for x in everything if x != low], budget
-        )
-        checks.expect_found(no_l, f"cycle-{m}: omitting L admits a witness")
+        no_l = is_freezing(sx.image, [x for x in everything if x != low], budget)
+        checks.expect_verdict(no_l, FAILS, f"cycle-{m}: omitting L admits a witness")
         if no_l.witness is not None:
             checks.expect(
                 no_l.witness.assignment[low] == u,
@@ -285,10 +272,9 @@ def row_pyramid(scale, budget, seed) -> Tuple[str, str]:
         )
         everything = list(range(p.image.n))
         for x in ring:
-            checks.expect_found(
-                find_counterexample_freezing(
-                    p.image, [y for y in everything if y != x], budget
-                ),
+            checks.expect_verdict(
+                is_freezing(p.image, [y for y in everything if y != x], budget),
+                FAILS,
                 f"P_{n}: vertex {x} of T_{n} is necessary",
             )
     return checks.outcome("the base ring is the only minimal freezing set")
@@ -306,10 +292,9 @@ def row_solid_pyramid(scale, budget, seed) -> Tuple[str, str]:
         )
         everything = list(range(q.image.n))
         for y in subset:
-            checks.expect_found(
-                find_counterexample_freezing(
-                    q.image, [z for z in everything if z != y], budget
-                ),
+            checks.expect_verdict(
+                is_freezing(q.image, [z for z in everything if z != y], budget),
+                FAILS,
                 f"Q_{n}: vertex {y} is necessary",
             )
     return checks.outcome("apex plus base square is minimal freezing for each Q_n")
@@ -475,23 +460,13 @@ def _oracle_queries() -> List[Tuple[str, DigitalImage, str, List[int], Dict[str,
     return queries
 
 
-def _engine_verdict(image, prop, subset, params, budget) -> str:
-    if prop == "freezing":
-        return is_freezing(image, subset, budget).verdict
-    if prop == "s_cold":
-        return is_s_cold(image, subset, params["s"], budget).verdict
-    if prop == "limiting":
-        return is_limiting(image, subset, params["m"], params["n"], budget).verdict
-    raise ValueError(prop)
-
-
 def row_oracle_equivalence(scale, budget, seed) -> Tuple[str, str]:
     checks = _Checks()
     for label, image, prop, subset, params in _oracle_queries():
         if image.n > 12:
             continue
         expected = naive_verdict(image, prop, subset, params)
-        got = _engine_verdict(image, prop, subset, params, budget)
+        got = is_limiting(image, subset, *_limits(prop, params), budget).verdict
         if got == UNKNOWN:
             checks.unknowns.append(f"{label} (budget exhausted)")
         else:

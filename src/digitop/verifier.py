@@ -1,13 +1,17 @@
 """Exhaustive decision procedures for freezing, s-cold, (m,n)-limiting and
 minimal-freezing queries.
 
-All three properties reduce to one counterexample search: find a continuous
-self-map f whose values stay inside per-vertex candidate sets (singletons for
-pointwise-fixed vertices, displacement balls for bounded ones) such that some
-vertex escapes its allowed displacement ball.  The search is a complete
-depth-first assignment over bitset domains: arc-consistency propagation
-(AC-3) to a fixpoint at every node, a viability check that cuts subtrees in
-which no vertex can still escape, and branching on values in vertex-id order.
+Every query is one (m,n)-limiting search: find a continuous self-map f with
+f(x) in B(x,m) for each member x of the set and f(v) outside B(v,n) for some
+vertex v.  The set is (m,n)-limiting iff no such f exists.  A freezing set is
+a (0,0)-limiting set and an s-cold set a (0,s)-limiting set, so those
+deciders only name the property in their reports.  Balls are r dilations of
+{x} by closed neighbourhoods; no distance matrix is built.
+
+The search is a complete depth-first assignment over bitset domains, with an
+explicit stack rather than recursion: arc-consistency propagation (AC-3) to
+a fixpoint at every node, a viability check that cuts subtrees in which no
+vertex can still escape, and branching on values in vertex-id order.
 
 The paper's unique-path and pulling lemmas are not engine rules, because
 the arc-consistency fixpoint already implies both:
@@ -18,17 +22,18 @@ the arc-consistency fixpoint already implies both:
                every point of N*(v) has coordinate i >= v_i - 1 >= x_i > y_i.
 
 Exceeding the node or wall-clock budget yields the distinguished verdict
-"unknown", never a guess.
+"unknown", never a guess.  The clock is read at every node and at every new
+neighbourhood union, so root propagation keeps the budget too.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import DigitalImage, DisconnectedImageError
-from .maps import Mapping, fixed_points, is_continuous, max_displacement
+from .maps import Mapping, is_continuous
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -159,6 +164,8 @@ class _SelfMapSearch:
     def _union_nbhd(self, mask: int) -> int:
         cached = self._union_memo.get(mask)
         if cached is None:
+            if time.monotonic() > self._deadline:
+                raise _BudgetExceeded
             cached = 0
             for v in _bits(mask):
                 cached |= self.img.closed_neighborhood_bits(v)
@@ -199,11 +206,8 @@ class _SelfMapSearch:
 
     def _tick(self) -> None:
         self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
+        if self.nodes > self.budget.max_nodes or time.monotonic() > self._deadline:
             raise _BudgetExceeded
-        if self.nodes % 256 == 0:
-            if (time.monotonic() - self._t0) * 1000 > self.budget.max_millis:
-                raise _BudgetExceeded
 
     def _pick(self, dom: List[int]) -> Optional[int]:
         best = None
@@ -216,34 +220,44 @@ class _SelfMapSearch:
                     best, best_key = x, key
         return best
 
+    def _leaf_escapes(self, dom: List[int]) -> bool:
+        """Every domain is a singleton, so by the AC fixpoint the map is
+        continuous.  Enumeration counts it; the search asks if it escapes."""
+        if self.escape is None:
+            self.count += 1
+            if self.count_cap is not None and self.count > self.count_cap:
+                raise _CapExceeded
+            return False
+        return any(d & e for d, e in zip(dom, self.escape))
+
     def _dfs(self, dom: List[int]) -> Optional[Tuple[int, ...]]:
-        self._tick()
-        if not self._viable(dom):
-            return None
-        x = self._pick(dom)
-        if x is None:
-            # Leaf: every domain is a singleton; AC fixpoint => continuous.
-            if self.escape is None:
-                self.count += 1
-                if self.count_cap is not None and self.count > self.count_cap:
-                    raise _CapExceeded
-                return None
-            assignment = tuple(d.bit_length() - 1 for d in dom)
-            for v, e in zip(assignment, self.escape):
-                if (1 << v) & e:
-                    return assignment
-            return None
-        for v in _bits(dom[x]):
-            nd = dom.copy()
-            nd[x] = 1 << v
-            if self._propagate(nd, [x]):
-                res = self._dfs(nd)
-                if res is not None:
-                    return res
-        return None
+        """Expand `dom`, then its children in value order, depth first.  Each
+        stack entry is (parent domains, branching vertex, values left)."""
+        stack: List[Tuple[List[int], int, Iterator[int]]] = []
+        while True:
+            self._tick()
+            if self._viable(dom):
+                x = self._pick(dom)
+                if x is not None:
+                    stack.append((dom, x, _bits(dom[x])))
+                elif self._leaf_escapes(dom):
+                    return tuple(d.bit_length() - 1 for d in dom)
+            while True:
+                if not stack:
+                    return None
+                parent, x, values = stack[-1]
+                v = next(values, None)
+                if v is None:
+                    stack.pop()
+                    continue
+                dom = parent.copy()
+                dom[x] = 1 << v
+                if self._propagate(dom, [x]):
+                    break
 
     def run(self) -> SearchResult:
         self._t0 = time.monotonic()
+        self._deadline = self._t0 + self.budget.max_millis / 1000
         status = NONE
         witness = None
         try:
@@ -261,7 +275,7 @@ class _SelfMapSearch:
         return SearchResult(status, witness, self.nodes, elapsed, dict(self.stats))
 
 
-# -- domain builders ---------------------------------------------------------
+# -- the (m,n)-limiting decider -----------------------------------------------
 
 
 def _check_subset(image: DigitalImage, subset: Iterable[int]) -> List[int]:
@@ -271,11 +285,23 @@ def _check_subset(image: DigitalImage, subset: Iterable[int]) -> List[int]:
     return members
 
 
-def _ball_masks(image: DigitalImage, r: int) -> List[int]:
-    dm = image._distance_matrix()
-    return [
-        sum(1 << v for v in range(image.n) if dm[x][v] <= r) for x in range(image.n)
-    ]
+def _balls(image: DigitalImage, r: int) -> List[int]:
+    """B(x,r) for every x, as r dilations of {x} by closed neighbourhoods.
+    Each step dilates only the vertices the previous step added."""
+    nbhd = image._nbhd_bits
+    balls = []
+    for x in range(image.n):
+        ball = frontier = 1 << x
+        for _ in range(r):
+            grown = ball
+            for v in _bits(frontier):
+                grown |= nbhd[v]
+            frontier = grown & ~ball
+            if not frontier:
+                break
+            ball = grown
+        balls.append(ball)
+    return balls
 
 
 def _require_connected(image: DigitalImage) -> None:
@@ -283,57 +309,53 @@ def _require_connected(image: DigitalImage) -> None:
         raise DisconnectedImageError("this query requires a connected image")
 
 
-def _freezing_search(
+def _limiting_search(
     image: DigitalImage,
-    subset: Iterable[int],
+    members: List[int],
+    m: int,
+    n: int,
     budget: SearchBudget,
 ) -> SearchResult:
+    """Search for a continuous self-map that moves each of the (checked)
+    members by at most m and some vertex by more than n."""
     _require_connected(image)
-    members = _check_subset(image, subset)
     full = (1 << image.n) - 1
+    m_balls = _balls(image, m)
+    n_balls = m_balls if n == m else _balls(image, n)
     domains = [full] * image.n
     for x in members:
-        domains[x] = 1 << x
-    escape = [full & ~(1 << x) for x in range(image.n)]
-    return _SelfMapSearch(image, domains, escape, budget).run()
-
-
-def find_counterexample_freezing(
-    image: DigitalImage,
-    subset: Iterable[int],
-    budget: SearchBudget = DEFAULT_BUDGET,
-) -> SearchResult:
-    """Search for a continuous non-identity self-map fixing `subset`."""
-    members = _check_subset(image, subset)
-    result = _freezing_search(image, members, budget)
-    if result.status == FOUND:
-        _check_witness_freezing(image, members, result.witness)
+        domains[x] = m_balls[x]
+    escape = [full & ~ball for ball in n_balls]
+    result = _SelfMapSearch(image, domains, escape, budget).run()
+    w = result.witness
+    if result.status == FOUND and (
+        not is_continuous(w)
+        or any(not (1 << w.assignment[x]) & m_balls[x] for x in members)
+        or all((1 << v) & ball for v, ball in zip(w.assignment, n_balls))
+    ):  # pragma: no cover - internal soundness guard
+        raise RuntimeError(f"search produced an invalid ({m},{n})-limiting witness")
     return result
 
 
-def _check_witness_freezing(image, members, witness) -> None:
-    if (
-        not is_continuous(witness)
-        or not set(members) <= fixed_points(witness)
-        or witness.assignment == tuple(range(image.n))
-    ):  # pragma: no cover - internal soundness guard
-        raise RuntimeError("search produced an invalid freezing witness")
+_VERDICT = {FOUND: FAILS, NONE: HOLDS, UNKNOWN: UNKNOWN}
 
 
 def _report(
     prop: str,
     params: Dict[str, int],
-    subset: Iterable[int],
+    members: Iterable[int],
     result: SearchResult,
     budget: SearchBudget,
+    verdict: Optional[str] = None,
     detail: Optional[str] = None,
 ) -> VerificationReport:
-    verdict = {FOUND: FAILS, NONE: HOLDS, UNKNOWN: UNKNOWN}[result.status]
+    """The report of `result`, whose status gives the verdict unless one is
+    passed."""
     return VerificationReport(
         property=prop,
         params=dict(params),
-        subset=frozenset(subset),
-        verdict=verdict,
+        subset=frozenset(members),
+        verdict=verdict or _VERDICT[result.status],
         witness=result.witness,
         detail=detail,
         nodes_expanded=result.nodes,
@@ -348,9 +370,10 @@ def is_freezing(
     subset: Iterable[int],
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> VerificationReport:
-    """Holds iff the identity is the only continuous self-map fixing subset."""
+    """Holds iff the identity is the only continuous self-map fixing subset,
+    that is, iff subset is (0,0)-limiting."""
     members = _check_subset(image, subset)
-    result = find_counterexample_freezing(image, members, budget)
+    result = _limiting_search(image, members, 0, 0, budget)
     return _report("freezing", {}, members, result, budget)
 
 
@@ -360,26 +383,12 @@ def is_s_cold(
     s: int,
     budget: SearchBudget = DEFAULT_BUDGET,
 ) -> VerificationReport:
-    """Holds iff every continuous map fixing subset displaces nothing past s."""
+    """Holds iff every continuous map fixing subset displaces nothing past s,
+    that is, iff subset is (0,s)-limiting."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    _require_connected(image)
     members = _check_subset(image, subset)
-    full = (1 << image.n) - 1
-    domains = [full] * image.n
-    for x in members:
-        domains[x] = 1 << x
-    balls = _ball_masks(image, s)
-    escape = [full & ~balls[x] for x in range(image.n)]
-    result = _SelfMapSearch(image, domains, escape, budget).run()
-    if result.status == FOUND:
-        w = result.witness
-        if (
-            not is_continuous(w)
-            or not set(members) <= fixed_points(w)
-            or max_displacement(w) <= s
-        ):  # pragma: no cover
-            raise RuntimeError("search produced an invalid cold witness")
+    result = _limiting_search(image, members, 0, s, budget)
     return _report("s_cold", {"s": s}, members, result, budget)
 
 
@@ -393,24 +402,8 @@ def is_limiting(
     """Holds iff every continuous m-map on subset is an n-map on all of X."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be nonnegative")
-    _require_connected(image)
     members = _check_subset(image, subset)
-    full = (1 << image.n) - 1
-    m_balls = _ball_masks(image, m)
-    domains = [full] * image.n
-    for x in members:
-        domains[x] = m_balls[x]
-    n_balls = _ball_masks(image, n)
-    escape = [full & ~n_balls[x] for x in range(image.n)]
-    result = _SelfMapSearch(image, domains, escape, budget).run()
-    if result.status == FOUND:
-        w = result.witness
-        if (
-            not is_continuous(w)
-            or max_displacement(w, members) > m
-            or max_displacement(w) <= n
-        ):  # pragma: no cover
-            raise RuntimeError("search produced an invalid limiting witness")
+    result = _limiting_search(image, members, m, n, budget)
     return _report("limiting", {"m": m, "n": n}, members, result, budget)
 
 
@@ -425,42 +418,27 @@ def is_minimal_freezing(
     freezing proper subset extends to some one-vertex deletion.  A failing
     verdict carries either a non-identity witness (subset is not freezing) or
     the removable vertex in `detail` (subset is freezing but not minimal).
+    The report counts the nodes, time and stats of every search it ran.
     """
+    prop = "minimal_freezing"
     members = _check_subset(image, subset)
-    base = find_counterexample_freezing(image, members, budget)
-    nodes = base.nodes
-    elapsed = base.elapsed_ms
-    stats = dict(base.stats)
-    if base.status == FOUND:
-        return _report(
-            "minimal_freezing", {}, members, base, budget, detail="not a freezing set"
-        )
-    if base.status == UNKNOWN:
-        return _report("minimal_freezing", {}, members, base, budget)
+    total = _limiting_search(image, members, 0, 0, budget)
+    if total.status != NONE:
+        detail = "not a freezing set" if total.status == FOUND else None
+        return _report(prop, {}, members, total, budget, detail=detail)
     for a in members:
-        sub = find_counterexample_freezing(
-            image, [x for x in members if x != a], budget
-        )
-        nodes += sub.nodes
-        elapsed += sub.elapsed_ms
+        sub = _limiting_search(image, [x for x in members if x != a], 0, 0, budget)
+        total.nodes += sub.nodes
+        total.elapsed_ms += sub.elapsed_ms
         for k, v in sub.stats.items():
-            stats[k] = stats.get(k, 0) + v
+            total.stats[k] += v
         if sub.status == UNKNOWN:
-            return VerificationReport(
-                "minimal_freezing", {}, frozenset(members), UNKNOWN, None,
-                f"sub-query for deletion of {a} exhausted the budget",
-                nodes, elapsed, stats, budget,
-            )
+            detail = f"sub-query for deletion of {a} exhausted the budget"
+            return _report(prop, {}, members, total, budget, UNKNOWN, detail)
         if sub.status == NONE:
-            return VerificationReport(
-                "minimal_freezing", {}, frozenset(members), FAILS, None,
-                f"vertex {a} is removable: the set stays freezing without it",
-                nodes, elapsed, stats, budget,
-            )
-    return VerificationReport(
-        "minimal_freezing", {}, frozenset(members), HOLDS, None, None,
-        nodes, elapsed, stats, budget,
-    )
+            detail = f"vertex {a} is removable: the set stays freezing without it"
+            return _report(prop, {}, members, total, budget, FAILS, detail)
+    return _report(prop, {}, members, total, budget)
 
 
 def search_minimal_freezing(
@@ -489,16 +467,14 @@ def search_minimal_freezing(
             current = list(range(image.n))
     else:
         current = _check_subset(image, seed_set)
-    check = find_counterexample_freezing(image, current, budget)
+    check = _limiting_search(image, current, 0, 0, budget)
     nodes = check.nodes
     if check.status == UNKNOWN:
         return MinimalSearchResult(UNKNOWN, None, nodes)
     if check.status == FOUND:
         raise ValueError("seed set is not a freezing set")
     for a in list(current):
-        sub = find_counterexample_freezing(
-            image, [x for x in current if x != a], budget
-        )
+        sub = _limiting_search(image, [x for x in current if x != a], 0, 0, budget)
         nodes += sub.nodes
         if sub.status == UNKNOWN:
             return MinimalSearchResult(UNKNOWN, None, nodes)

@@ -1,9 +1,8 @@
 """Acceptance suite: one test per theorem-instance criterion.
 
 Each test replays the corresponding paper-suite row at scale 2 and prints a
-single pass/fail line (visible with `pytest -s` or on failure).  Criterion 9
-is a stretch row: `unknown` under the default budget is tolerated as long as
-the row documents the budget it used, but `fail` is not.
+single pass/fail line (visible with `pytest -s` or on failure).  Every
+criterion must pass; `unknown` counts as a failure.
 """
 
 import pytest
@@ -18,9 +17,9 @@ def results():
     return {row.number: row for row in rows}
 
 
-def _check(results, number, allow_unknown=False):
+def _check(results, number):
     row = results[number]
-    ok = row.status == "pass" or (allow_unknown and row.status == "unknown")
+    ok = row.status == "pass"
     verdict = "pass" if ok else "FAIL"
     print(f"criterion {number:2d} [{verdict}] {row.title}: {row.status} ({row.detail})")
     assert ok, f"criterion {number}: {row.status} - {row.detail}"
@@ -59,7 +58,7 @@ def test_criterion_08_bipyramid_freezing(results):
 
 
 def test_criterion_09_solid_bipyramid_stretch(results):
-    _check(results, 9, allow_unknown=True)
+    _check(results, 9)
 
 
 def test_criterion_10_box_theorems(results):

@@ -3,9 +3,12 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from digitop import cli
 from digitop.cli import main
+from digitop.constructions import simple_closed_curve
 from digitop.maps import fixed_points, is_continuous
 from digitop.serialization import document_to_complex, witness_from_document
+from digitop.suite import naive_verdict
 
 
 @pytest.fixture
@@ -174,7 +177,7 @@ def test_verify_cold(runner, tmp_path):
 def test_minimal_command(runner, tmp_path):
     b1 = build(runner, tmp_path, "b1", "box", "--extents", "2,2", "--u", "1")
     result = runner.invoke(
-        main, ["--quiet", "minimal", "--image", str(b1), "--set", "Bd"]
+        main, ["--quiet", "verify", "minimal", "--image", str(b1), "--set", "Bd"]
     )
     assert result.exit_code == 1  # corners are a proper freezing subset
 
@@ -237,3 +240,32 @@ def test_paper_suite_starvation(runner):
     )
     assert result.exit_code == 3
     assert "UNKNOWN" in result.output
+
+
+def test_verify_calls_one_decider_global_per_property(runner, tmp_path, monkeypatch):
+    # A traced benchmark run replaces these digitop.cli globals with timing
+    # wrappers, so each `verify` property must go through its own one.
+    deciders = {"freezing": "is_freezing", "cold": "is_s_cold",
+                "limiting": "is_limiting", "minimal": "is_minimal_freezing"}
+    calls = []
+    for name in deciders.values():
+        def recorder(*args, _name=name, _fn=getattr(cli, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(cli, name, recorder)
+    sx = build(runner, tmp_path, "sx4", "suspension", "--base", "cycle", "--m", "4")
+    query = ["--image", str(sx), "--set", "all"]
+    bounds = {"cold": ["--s", "1"], "limiting": ["--m", "1", "--n", "1"]}
+    for prop, name in deciders.items():
+        calls.clear()
+        result = runner.invoke(
+            main, ["--quiet", "verify", prop, *query, *bounds.get(prop, [])]
+        )
+        assert result.exit_code in (0, 1), result.output
+        assert calls == [name]
+
+    c6 = simple_closed_curve(6).image
+    for prop, params in (("freezing", {}), ("s_cold", {"s": 1}),
+                         ("limiting", {"m": 1, "n": 1})):
+        assert naive_verdict(c6, prop, [0, 3], params) in ("holds", "fails")

@@ -2,19 +2,21 @@
 
 Every verdict of `is_freezing`, `is_s_cold` and `is_limiting` on a random
 connected graph must equal `suite.naive_verdict`, and every `fails` witness
-is re-checked with `digitop.maps`.  Graphs have at most 8 vertices and
-degree at most 3: the oracle enumerates continuous maps vertex by vertex, so
-this bounds its work by 8 * 4^7 maps per query (a star on 8 vertices alone
-has more than 2 million).
+is re-checked with `digitop.maps`.  The engine's displacement balls, grown
+by dilation, must equal the balls read off `DigitalImage.distance`.  Graphs
+have at most 8 vertices and degree at most 3: the oracle enumerates
+continuous maps vertex by vertex, so this bounds its work by 8 * 4^7 maps
+per query (a star on 8 vertices alone has more than 2 million).
 """
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from digitop.constructions import box, cone, pyramid, solid_pyramid, suspension
 from digitop.graph import DigitalImage
 from digitop.maps import fixed_points, is_continuous, max_displacement
-from digitop.suite import naive_verdict
-from digitop.verifier import FAILS, is_freezing, is_limiting, is_s_cold
+from digitop.suite import _small_bases, naive_verdict
+from digitop.verifier import FAILS, _balls, is_freezing, is_limiting, is_s_cold
 
 MAX_VERTICES = 8
 MAX_DEGREE = 3
@@ -88,3 +90,27 @@ def test_limiting_matches_naive_oracle(query, m, n):
         assert is_continuous(f)
         assert max_displacement(f, subset) <= m
         assert max_displacement(f) > n
+
+
+def _distance_balls(image, r):
+    return [
+        sum(1 << v for v in range(image.n) if image.distance(x, v) <= r)
+        for x in range(image.n)
+    ]
+
+
+def test_balls_match_distances_on_suite_images():
+    images = [image for _, image in _small_bases()]
+    images += [cone(image).image for image in images[:3]]
+    images += [suspension(image).image for image in images[:3]]
+    images += [pyramid(2).image, solid_pyramid(2).image, box([2, 2, 2], 1).image]
+    for image in images:
+        for r in range(4):
+            assert _balls(image, r) == _distance_balls(image, r)
+
+
+@bounded
+@given(connected_queries(), st.integers(0, 3))
+def test_balls_match_distances_on_random_graphs(query, r):
+    image, _ = query
+    assert _balls(image, r) == _distance_balls(image, r)

@@ -1,4 +1,5 @@
 import json
+import time
 from itertools import product
 from pathlib import Path
 
@@ -22,11 +23,9 @@ from digitop.verifier import (
     FAILS,
     FOUND,
     HOLDS,
-    NONE,
     UNKNOWN,
     SearchBudget,
     enumerate_continuous_self_maps,
-    find_counterexample_freezing,
     is_freezing,
     is_limiting,
     is_minimal_freezing,
@@ -78,8 +77,8 @@ def test_freezing_cone_base():
     report = is_freezing(cx.image, base)
     assert report.verdict == HOLDS
     assert report.witness is None
-    result = find_counterexample_freezing(cx.image, base[1:])
-    assert result.status == FOUND
+    result = is_freezing(cx.image, base[1:])
+    assert result.verdict == FAILS
     f = result.witness
     assert is_continuous(f)
     assert set(base[1:]) <= fixed_points(f)
@@ -172,7 +171,7 @@ def _restart_minimal(image, seed_set):
     while True:
         for a in current:
             rest = [x for x in current if x != a]
-            if find_counterexample_freezing(image, rest).status == NONE:
+            if is_freezing(image, rest).verdict == HOLDS:
                 current = rest
                 break
         else:
@@ -273,3 +272,44 @@ def test_budget_validation():
         SearchBudget(max_nodes=0)
     with pytest.raises(ValueError):
         SearchBudget(max_millis=0)
+
+
+def _assert_freezing_witness(image, members, report):
+    f = report.witness
+    assert is_continuous(f)
+    assert set(members) <= fixed_points(f)
+    assert f.assignment != tuple(range(image.n))
+
+
+def test_long_witness_on_cycle_does_not_recurse():
+    # The witness assigns every vertex, one DFS node each: 1,199 levels deep.
+    c = simple_closed_curve(1200).image
+    report = is_freezing(c, [0, 1])
+    assert report.verdict == FAILS
+    assert report.nodes_expanded == 1199
+    _assert_freezing_witness(c, [0, 1], report)
+
+
+def test_long_witness_on_box_does_not_recurse():
+    b = box([32, 32], 1)
+    corner = min(b.named_sets["corners"])
+    report = is_freezing(b.image, [corner])
+    assert report.verdict == FAILS
+    assert report.nodes_expanded == 1089
+    _assert_freezing_witness(b.image, [corner], report)
+
+
+def test_time_budget_is_kept_in_root_propagation_and_search():
+    # Unbudgeted, each query runs for seconds on C_3000.
+    budget = SearchBudget(max_millis=50)
+    slack_ms = 250
+    c = simple_closed_curve(3000).image
+    for query in (
+        lambda: is_freezing(c, [0, 1], budget),
+        lambda: is_s_cold(c, [0, 1000, 2000], 1, budget),
+    ):
+        t0 = time.monotonic()
+        report = query()
+        elapsed_ms = (time.monotonic() - t0) * 1000
+        assert report.verdict == UNKNOWN
+        assert elapsed_ms <= budget.max_millis + slack_ms

@@ -4,6 +4,7 @@ export images, and replay the theorem suite."""
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 from typing import List, Optional
 
@@ -69,10 +70,12 @@ def _load_complex(path: str) -> NamedComplex:
 
 
 def _write_or_print(text: str, out: Optional[str], quiet: bool) -> None:
+    # Every echo names its stream: without one, click caches a wrapper that
+    # keeps each replaced sys.stdout alive, so in-process runs leak output.
     if out:
         Path(out).write_text(text)
     elif not quiet:
-        click.echo(text, nl=not text.endswith("\n"))
+        click.echo(text, file=sys.stdout, nl=not text.endswith("\n"))
 
 
 def _resolve_set(nc: NamedComplex, spec: str) -> List[int]:
@@ -181,14 +184,11 @@ def cmd_build(ctx, family, n, a, b, m, extents, u, base, base_image, out):
     """Build a named construction and write its image document."""
     nc = _build_family(family, n, a, b, m, extents, u, base, base_image)
     text = json.dumps(complex_to_document(nc), indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        click.echo(text, nl=False)
+    _write_or_print(text, out, quiet=False)
     if not ctx.obj["quiet"]:
         click.echo(
             f"{family}: {nc.image.n} vertices, {len(nc.image.edges)} edges",
-            err=True,
+            file=sys.stderr,
         )
 
 
@@ -240,9 +240,9 @@ def cmd_search_minimal(ctx, image_path, set_spec):
     except (ValueError, DisconnectedImageError) as exc:
         raise click.UsageError(str(exc))
     if result.members is None:
-        click.echo("unknown: budget exhausted")
+        click.echo("unknown: budget exhausted", file=sys.stdout)
         ctx.exit(EXIT_UNKNOWN)
-    click.echo(json.dumps(sorted(result.members)))
+    click.echo(json.dumps(sorted(result.members)), file=sys.stdout)
 
 
 @main.command("metric")
@@ -256,10 +256,10 @@ def cmd_metric(ctx, image_path, src, dst, want_diameter):
     nc = _load_complex(image_path)
     try:
         if want_diameter:
-            click.echo(str(nc.image.diameter()))
+            click.echo(str(nc.image.diameter()), file=sys.stdout)
         elif src is not None and dst is not None:
             d = nc.image.distance(src, dst)
-            click.echo("inf" if d == float("inf") else str(int(d)))
+            click.echo("inf" if d == float("inf") else str(int(d)), file=sys.stdout)
         else:
             raise click.UsageError("metric requires --diameter or --source/--target")
     except (DisconnectedImageError, KeyError, ValueError) as exc:
@@ -295,7 +295,8 @@ def cmd_paper_suite(ctx, scale, rows):
     for r in results:
         click.echo(
             f"{r.number:>2}  {r.title:<{width}}  {r.status.upper():<7} "
-            f"({r.elapsed_ms:8.1f} ms)  {r.detail}"
+            f"({r.elapsed_ms:8.1f} ms)  {r.detail}",
+            file=sys.stdout,
         )
     statuses = {r.status for r in results}
     if "fail" in statuses:

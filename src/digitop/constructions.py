@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence
 
 from .graph import DigitalImage
 from .lattice import Point, c1_boundary
@@ -34,32 +34,24 @@ class NamedComplex:
         return self.named_sets[name]
 
 
-def _from_points(
-    points: Iterable[Sequence[int]], u: int
-) -> Tuple[DigitalImage, Dict[Point, int]]:
-    pts = sorted(tuple(int(c) for c in p) for p in points)
-    image = DigitalImage.from_points(pts, u=u)
-    return image, {p: i for i, p in enumerate(pts)}
+def _ids(image: DigitalImage, points: Iterable[Point]) -> FrozenSet[int]:
+    return frozenset(image.vertex_at(p) for p in points)
 
 
-def _ids(index: Dict[Point, int], points: Iterable[Point]) -> FrozenSet[int]:
-    return frozenset(index[p] for p in points)
-
-
-def _boundary_set(index: Dict[Point, int], d: int) -> FrozenSet[int]:
-    return frozenset(index[p] for p in c1_boundary(index.keys(), d))
+def _boundary_set(image: DigitalImage, d: int) -> FrozenSet[int]:
+    return _ids(image, c1_boundary(image.coords, d))
 
 
 def interval(a: int, b: int) -> NamedComplex:
     """The digital interval [a, b]_Z with c_1 adjacency."""
     if a > b:
         raise ValueError(f"require a <= b, got [{a}, {b}]")
-    image, index = _from_points([(k,) for k in range(a, b + 1)], u=1)
+    image = DigitalImage.from_points([(k,) for k in range(a, b + 1)], u=1)
     return NamedComplex(
         image,
         {
-            "corners": _ids(index, [(a,), (b,)]),
-            "Bd": _boundary_set(index, 1),
+            "corners": _ids(image, [(a,), (b,)]),
+            "Bd": _boundary_set(image, 1),
         },
     )
 
@@ -72,9 +64,9 @@ def box(extents: Sequence[int], u: int) -> NamedComplex:
     if not 1 <= u <= d:
         raise ValueError(f"require 1 <= u <= {d}, got u={u}")
     points = list(product(*[range(m + 1) for m in extents]))
-    image, index = _from_points(points, u=u)
-    corners = _ids(index, product(*[(0, m) for m in extents]))
-    return NamedComplex(image, {"corners": corners, "Bd": _boundary_set(index, d)})
+    image = DigitalImage.from_points(points, u=u)
+    corners = _ids(image, product(*[(0, m) for m in extents]))
+    return NamedComplex(image, {"corners": corners, "Bd": _boundary_set(image, d)})
 
 
 def simple_closed_curve(m: int) -> NamedComplex:
@@ -145,38 +137,35 @@ def _solid_level(i: int, z: int) -> List[Point]:
     return [(a, b, z) for a in range(-i, i + 1) for b in range(-i, i + 1)]
 
 
-def _pyramid_named(index: Dict[Point, int], n: int) -> Dict[str, FrozenSet[int]]:
+def _pyramid_named(image: DigitalImage, n: int) -> Dict[str, FrozenSet[int]]:
     """Named subsets shared by the pyramid family (upper half only)."""
     named: Dict[str, FrozenSet[int]] = {}
-    named["U"] = _ids(index, [(0, 0, n)])
+    named["U"] = _ids(image, [(0, 0, n)])
     for i in range(n + 1):
         z = n - i
-        level = [p for p in _shell_level(i, z) if p in index]
-        named[f"T_{i}"] = _ids(index, level)
-        named[f"T_{i}_prime"] = _ids(
-            index, [p for p in [(-i, -i, z), (i, -i, z), (i, i, z), (-i, i, z)] if p in index]
-        )
-    named["LR"] = _ids(index, [(-i, -i, n - i) for i in range(n + 1)])
-    named["LF"] = _ids(index, [(i, -i, n - i) for i in range(n + 1)])
-    named["RF"] = _ids(index, [(i, i, n - i) for i in range(n + 1)])
-    named["RR"] = _ids(index, [(-i, i, n - i) for i in range(n + 1)])
-    named["BL"] = _ids(index, [(a, -n, 0) for a in range(-n, n + 1)])
-    named["BF"] = _ids(index, [(n, b, 0) for b in range(-n, n + 1)])
-    named["BR"] = _ids(index, [(a, n, 0) for a in range(-n, n + 1)])
-    named["BB"] = _ids(index, [(-n, b, 0) for b in range(-n, n + 1)])
+        named[f"T_{i}"] = _ids(image, _shell_level(i, z))
+        named[f"T_{i}_prime"] = _ids(image, [(-i, -i, z), (i, -i, z), (i, i, z), (-i, i, z)])
+    named["LR"] = _ids(image, [(-i, -i, n - i) for i in range(n + 1)])
+    named["LF"] = _ids(image, [(i, -i, n - i) for i in range(n + 1)])
+    named["RF"] = _ids(image, [(i, i, n - i) for i in range(n + 1)])
+    named["RR"] = _ids(image, [(-i, i, n - i) for i in range(n + 1)])
+    named["BL"] = _ids(image, [(a, -n, 0) for a in range(-n, n + 1)])
+    named["BF"] = _ids(image, [(n, b, 0) for b in range(-n, n + 1)])
+    named["BR"] = _ids(image, [(a, n, 0) for a in range(-n, n + 1)])
+    named["BB"] = _ids(image, [(-n, b, 0) for b in range(-n, n + 1)])
     # Faces are the digital triangles bounded by one base edge and two
     # lateral edges; shared lateral edges belong to both adjacent faces.
     named["L"] = _ids(
-        index, [(a, -i, n - i) for i in range(n + 1) for a in range(-i, i + 1)]
+        image, [(a, -i, n - i) for i in range(n + 1) for a in range(-i, i + 1)]
     )
     named["F"] = _ids(
-        index, [(i, b, n - i) for i in range(n + 1) for b in range(-i, i + 1)]
+        image, [(i, b, n - i) for i in range(n + 1) for b in range(-i, i + 1)]
     )
     named["R"] = _ids(
-        index, [(a, i, n - i) for i in range(n + 1) for a in range(-i, i + 1)]
+        image, [(a, i, n - i) for i in range(n + 1) for a in range(-i, i + 1)]
     )
     named["B"] = _ids(
-        index, [(-i, b, n - i) for i in range(n + 1) for b in range(-i, i + 1)]
+        image, [(-i, b, n - i) for i in range(n + 1) for b in range(-i, i + 1)]
     )
     return named
 
@@ -188,9 +177,9 @@ def pyramid(n: int) -> NamedComplex:
     points: List[Point] = []
     for i in range(n + 1):
         points.extend(_shell_level(i, n - i))
-    image, index = _from_points(points, u=3)
-    named = _pyramid_named(index, n)
-    named["Bd"] = _boundary_set(index, 3)
+    image = DigitalImage.from_points(sorted(points), u=3)
+    named = _pyramid_named(image, n)
+    named["Bd"] = _boundary_set(image, 3)
     return NamedComplex(image, named)
 
 
@@ -201,11 +190,11 @@ def solid_pyramid(n: int) -> NamedComplex:
     points: List[Point] = []
     for i in range(n + 1):
         points.extend(_solid_level(i, n - i))
-    image, index = _from_points(points, u=3)
-    named = _pyramid_named(index, n)
+    image = DigitalImage.from_points(sorted(points), u=3)
+    named = _pyramid_named(image, n)
     for i in range(n + 1):
-        named[f"W_{i}"] = _ids(index, _solid_level(i, n - i))
-    named["Bd"] = _boundary_set(index, 3)
+        named[f"W_{i}"] = _ids(image, _solid_level(i, n - i))
+    named["Bd"] = _boundary_set(image, 3)
     return NamedComplex(image, named)
 
 
@@ -221,14 +210,14 @@ def bipyramid(n: int) -> NamedComplex:
     for i in range(n + 1):
         upper.extend(_shell_level(i, n - i))
     points = sorted(set(upper) | set(_mirrored(upper)))
-    image, index = _from_points(points, u=3)
+    image = DigitalImage.from_points(points, u=3)
     named = {
-        "U": _ids(index, [(0, 0, n)]),
-        "L": _ids(index, [(0, 0, -n)]),
-        f"T_{n}": _ids(index, _shell_level(n, 0)),
-        "upper": _ids(index, upper),
-        "lower": _ids(index, _mirrored(upper)),
-        "Bd": _boundary_set(index, 3),
+        "U": _ids(image, [(0, 0, n)]),
+        "L": _ids(image, [(0, 0, -n)]),
+        f"T_{n}": _ids(image, _shell_level(n, 0)),
+        "upper": _ids(image, upper),
+        "lower": _ids(image, _mirrored(upper)),
+        "Bd": _boundary_set(image, 3),
     }
     return NamedComplex(image, named)
 
@@ -241,15 +230,15 @@ def solid_bipyramid(n: int) -> NamedComplex:
     for i in range(n + 1):
         upper.extend(_solid_level(i, n - i))
     points = sorted(set(upper) | set(_mirrored(upper)))
-    image, index = _from_points(points, u=3)
+    image = DigitalImage.from_points(points, u=3)
     named = {
-        "U": _ids(index, [(0, 0, n)]),
-        "L": _ids(index, [(0, 0, -n)]),
-        f"T_{n}": _ids(index, _shell_level(n, 0)),
-        f"W_{n}": _ids(index, _solid_level(n, 0)),
-        "upper": _ids(index, upper),
-        "lower": _ids(index, _mirrored(upper)),
-        "Bd": _boundary_set(index, 3),
+        "U": _ids(image, [(0, 0, n)]),
+        "L": _ids(image, [(0, 0, -n)]),
+        f"T_{n}": _ids(image, _shell_level(n, 0)),
+        f"W_{n}": _ids(image, _solid_level(n, 0)),
+        "upper": _ids(image, upper),
+        "lower": _ids(image, _mirrored(upper)),
+        "Bd": _boundary_set(image, 3),
     }
     return NamedComplex(image, named)
 

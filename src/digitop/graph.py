@@ -1,24 +1,30 @@
 """Digital images as finite graphs with optional lattice coordinates.
 
 The canonical representation is an explicit symmetric edge set over vertex
-ids 0..N-1.  Images built from lattice points with a c_u adjacency
-materialize their edges at construction and remember (u, dimension) so that
-coordinate-aware reasoning (the boundary Bd) knows it applies.
-
-Connectivity is one graph traversal.  Distances come from an n×n matrix of
-BFS rows, built on first use by `distance` and `diameter`; the verifier does
-not use it, since it grows its displacement balls by dilation.
+ids 0..N-1.  Images built from lattice points remember (u, dimension) so that
+coordinate-aware reasoning (the boundary Bd) knows it applies; their c_u
+edges come from the {point: id} index, so no pair of points is tested.
+Every distance comes from one dilation, N*(mask): `rings` yields the
+vertices at distance 0, 1, 2, ... from a mask, and connectivity, distance,
+diameter and domination read them.  There is no distance matrix.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .lattice import Point, check_point, cu_adjacent
+from .lattice import Point, check_point
 
 INF = math.inf
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The vertex ids in a bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class UnknownVertexError(KeyError):
@@ -73,7 +79,6 @@ class DigitalImage:
         self._nbhd_bits: List[int] = [
             (1 << x) | sum(1 << y for y in self._adj[x]) for x in range(n)
         ]
-        self._dist: Optional[List[List[float]]] = None
         self._connected: Optional[bool] = None
         self._point_index = {p: i for i, p in enumerate(self.coords) if p is not None}
 
@@ -86,19 +91,31 @@ class DigitalImage:
         u: int,
         labels: Optional[Sequence[Optional[str]]] = None,
     ) -> "DigitalImage":
-        """Materialize the c_u image on a finite set of lattice points."""
+        """Materialize the c_u image on a finite set of lattice points.
+
+        A c_u neighbour differs by 0 or ±1 in each coordinate and by ±1 in
+        1..u of them.  Candidates grow a coordinate at a time and keep only
+        prefixes some point has, rather than walking all 3^d offsets."""
         if not points:
             return cls(0, [], u=u)
         d = len(points[0])
         pts = [check_point(p, d) for p in points]
         if not 1 <= u <= d:
             raise ValueError(f"require 1 <= u <= {d}, got u={u}")
-        edges = [
-            (i, j)
-            for i in range(len(pts))
-            for j in range(i + 1, len(pts))
-            if cu_adjacent(pts[i], pts[j], u)
-        ]
+        index = {p: i for i, p in enumerate(pts)}
+        prefixes = [{p[:k] for p in index} for k in range(d + 1)]
+        edges = []
+        for i, p in enumerate(pts):
+            grown = [((), 0)]  # (prefix, coordinates changed so far)
+            for k, c in enumerate(p):
+                present = prefixes[k + 1]
+                grown = [
+                    (t, changed + (step != 0))
+                    for q, changed in grown
+                    for step in ((0, -1, 1) if changed < u else (0,))
+                    if (t := q + (c + step,)) in present
+                ]
+            edges += [(i, index[q]) for q, changed in grown if changed and index[q] > i]
         return cls(len(pts), edges, coords=pts, labels=labels, u=u, dimension=d)
 
     # -- basic queries -----------------------------------------------------
@@ -141,41 +158,41 @@ class DigitalImage:
 
     # -- metric ------------------------------------------------------------
 
-    def _distance_matrix(self) -> List[List[float]]:
-        if self._dist is None:
-            mat: List[List[float]] = []
-            for src in range(self.n):
-                row = [INF] * self.n
-                row[src] = 0
-                q = deque([src])
-                while q:
-                    v = q.popleft()
-                    for w in self._adj[v]:
-                        if row[w] is INF or row[w] > row[v] + 1:
-                            row[w] = row[v] + 1
-                            q.append(w)
-                mat.append(row)
-            self._dist = mat
-        return self._dist
+    def dilate(self, mask: int) -> int:
+        """N*(mask): the vertices of mask together with all their neighbours."""
+        nbhd = self._nbhd_bits
+        grown = mask
+        while mask:
+            low = mask & -mask
+            grown |= nbhd[low.bit_length() - 1]
+            mask ^= low
+        return grown
+
+    def rings(self, mask: int) -> Iterator[int]:
+        """The vertices at distance 0, 1, 2, ... from mask, one bitmask per
+        distance, until no unseen vertex is reachable."""
+        seen = 0
+        while mask:
+            yield mask
+            seen |= mask
+            mask = self.dilate(mask) & ~seen
 
     def distance(self, x: int, y: int) -> float:
         """Shortest path length, math.inf when x and y are in different components."""
         self.check_vertex(x)
-        self.check_vertex(y)
-        d = self._distance_matrix()[x][y]
-        return int(d) if d is not INF else INF
+        target = 1 << self.check_vertex(y)
+        for d, ring in enumerate(self.rings(1 << x)):
+            if ring & target:
+                return d
+        return INF
 
     def is_connected(self) -> bool:
-        """One traversal from vertex 0, cached; the empty image is connected."""
+        """Every vertex is in a ring around vertex 0 (cached); true if empty."""
         if self._connected is None:
-            seen = {0} if self.n else set()
-            stack = list(seen)
-            while stack:
-                for w in self._adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            self._connected = len(seen) == self.n
+            reached = 0
+            for ring in self.rings(1 if self.n else 0):
+                reached |= ring
+            self._connected = reached == (1 << self.n) - 1
         return self._connected
 
     def diameter(self) -> int:
@@ -183,11 +200,11 @@ class DigitalImage:
             raise ValueError("diameter of an empty image is undefined")
         if not self.is_connected():
             raise DisconnectedImageError("diameter requires a connected image")
-        return int(max(max(row) for row in self._distance_matrix()))
+        return max(sum(1 for _ in self.rings(1 << x)) - 1 for x in range(self.n))
 
     def is_dominating(self, members: Iterable[int]) -> bool:
         """True iff every vertex is in the set or adjacent to a member."""
-        bits = 0
+        mask = 0
         for x in members:
-            bits |= self.closed_neighborhood_bits(self.check_vertex(x))
-        return bits == (1 << self.n) - 1 if self.n else True
+            mask |= 1 << self.check_vertex(x)
+        return self.dilate(mask) == (1 << self.n) - 1

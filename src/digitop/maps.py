@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Sequence, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
-from .graph import DigitalImage, DisconnectedImageError
+from .graph import DigitalImage, DisconnectedImageError, bits
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,10 @@ def random_continuous_map(
 ) -> Mapping:
     """A seeded random continuous self-map fixing `fixed` pointwise.
 
-    Vertices are assigned in BFS order from the fixed set, choosing uniformly
-    among values consistent with already-assigned neighbors and backtracking
-    on dead ends.  The identity extension always exists, so this terminates.
+    Vertices are assigned ring by ring from the fixed set (from vertex 0 if
+    it is empty), in id order within a ring, choosing uniformly among values
+    consistent with already-assigned neighbors and backtracking on dead
+    ends.  The identity extension always exists, so this terminates.
     """
     if not image.is_connected():
         raise DisconnectedImageError("random map generation requires connectivity")
@@ -111,7 +112,8 @@ def random_continuous_map(
     fixed = sorted(set(fixed))
     for x in fixed:
         image.check_vertex(x)
-    order = _bfs_order(image, fixed)
+    start = sum(1 << x for x in fixed) or (1 if image.n else 0)
+    order = [x for ring in image.rings(start) for x in bits(ring)][len(fixed):]
     assignment: dict[int, int] = {x: x for x in fixed}
 
     def assign(k: int) -> bool:
@@ -134,30 +136,6 @@ def random_continuous_map(
     if not assign(0):  # pragma: no cover - identity extension always succeeds
         raise RuntimeError("no continuous extension found")
     return Mapping(image, image, tuple(assignment[x] for x in range(image.n)))
-
-
-def _bfs_order(image: DigitalImage, anchors: Sequence[int]) -> list[int]:
-    """Unanchored vertices in BFS order from the anchor set (from 0 if empty)."""
-    seen = set(anchors)
-    frontier = sorted(anchors) if anchors else []
-    order: list[int] = []
-    if not frontier and image.n:
-        frontier = [0]
-        seen = {0}
-        order = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in image.neighbors(x):
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    for x in range(image.n):  # disconnected leftovers, defensive
-        if x not in seen:
-            order.append(x)
-    return order
 
 
 def check_pulling(f: Mapping) -> bool:

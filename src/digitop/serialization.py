@@ -47,35 +47,50 @@ def complex_to_document(nc: NamedComplex) -> Dict[str, Any]:
     return doc
 
 
+def _integers(values: Any, what: str) -> Any:
+    """values, which must all be JSON integers (booleans are not)."""
+    for v in values:
+        if type(v) is not int:
+            raise DocumentError(f"{what} must be integers, got {v!r}")
+    return values
+
+
 def document_to_complex(doc: Dict[str, Any]) -> NamedComplex:
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise DocumentError(f"unsupported format_version {doc.get('format_version')!r}")
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version != FORMAT_VERSION:
+        raise DocumentError(f"unsupported format_version {version!r}")
     try:
         vertices = doc["vertices"]
         adjacency = doc["adjacency"]
     except KeyError as exc:
         raise DocumentError(f"missing field {exc}") from exc
-    ids = [v["id"] for v in vertices]
+    named_sets = doc.get("named_sets", {})
+    if not isinstance(adjacency, dict) or not isinstance(named_sets, dict):
+        raise DocumentError("adjacency and named_sets must be JSON objects")
+    ids = _integers([v["id"] for v in vertices], "vertex ids")
     if ids != list(range(len(ids))):
         raise DocumentError("vertex ids must be 0..N-1 in order")
     coords = [tuple(v["coords"]) if "coords" in v else None for v in vertices]
+    _integers([c for p in coords if p is not None for c in p], "coordinates")
     labels = [v.get("label") for v in vertices]
     dimension = doc.get("dimension")
     kind = adjacency.get("type")
     if kind == "cu":
         if any(c is None for c in coords):
             raise DocumentError("cu adjacency requires coordinates on every vertex")
-        image = DigitalImage.from_points(coords, u=adjacency["u"], labels=labels)
+        u = _integers([adjacency["u"]], "the adjacency index u")[0]
+        image = DigitalImage.from_points(coords, u=u, labels=labels)
     elif kind == "explicit":
         edges = [(a, b) for a, b in doc.get("edges", [])]
+        _integers([v for e in edges for v in e], "edge endpoints")
         image = DigitalImage(
             len(ids), edges, coords=coords, labels=labels, dimension=dimension
         )
     else:
         raise DocumentError(f"unknown adjacency type {kind!r}")
     named = {
-        name: frozenset(members)
-        for name, members in doc.get("named_sets", {}).items()
+        name: _integers(frozenset(members), f"members of {name!r}")
+        for name, members in named_sets.items()
     }
     return NamedComplex(image, named)
 

@@ -8,6 +8,7 @@ the bitset search machinery.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -107,6 +108,21 @@ def _limits(prop: str, params: Dict[str, int]) -> Tuple[int, int]:
     raise ValueError(f"no (m, n) for property {prop!r}")
 
 
+def naive_distances(image: DigitalImage) -> List[List[float]]:
+    """All pairwise distances by Floyd–Warshall over `neighbors`, math.inf
+    between components: the oracle's metric, apart from DigitalImage's."""
+    n = image.n
+    dist = [[0 if x == y else math.inf for y in range(n)] for x in range(n)]
+    for x in range(n):
+        for y in image.neighbors(x):
+            dist[x][y] = 1
+    for k in range(n):
+        for x in range(n):
+            for y in range(n):
+                dist[x][y] = min(dist[x][y], dist[x][k] + dist[k][y])
+    return dist
+
+
 def naive_verdict(
     image: DigitalImage,
     prop: str,
@@ -119,13 +135,14 @@ def naive_verdict(
     member by at most m and some vertex by more than n?  Vertices are
     assigned in id order, candidates filtered only by continuity against
     already-assigned neighbors; no bitsets, no ordering heuristics, no
-    propagation.  Distances come from the image's distance matrix, not from
-    the engine's balls.  Usable on small images only.
+    propagation.  Distances come from `naive_distances` (Floyd–Warshall),
+    not from the engine's balls nor DigitalImage's rings.  Usable on small
+    images only.
     """
     m, radius = _limits(prop, params or {})
     n = image.n
     members = set(subset)
-    dm = image._distance_matrix()
+    dm = naive_distances(image)
     domains = [
         [v for v in range(n) if dm[x][v] <= m] if x in members else list(range(n))
         for x in range(n)

@@ -6,7 +6,8 @@ f(x) in B(x,m) for each member x of the set and f(v) outside B(v,n) for some
 vertex v.  The set is (m,n)-limiting iff no such f exists.  A freezing set is
 a (0,0)-limiting set and an s-cold set a (0,s)-limiting set, so those
 deciders only name the property in their reports.  Balls are r dilations of
-{x} by closed neighbourhoods; no distance matrix is built.
+{x} by closed neighbourhoods (`DigitalImage.dilate`); no distance matrix is
+built.
 
 The search is a complete depth-first assignment over bitset domains, with an
 explicit stack rather than recursion: arc-consistency propagation (AC-3) to
@@ -32,7 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .graph import DigitalImage, DisconnectedImageError
+from .graph import DigitalImage, DisconnectedImageError, bits
 from .maps import Mapping, is_continuous
 
 HOLDS = "holds"
@@ -102,13 +103,6 @@ class MinimalSearchResult:
     nodes: int
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _SelfMapSearch:
     """Complete DFS over continuous self-maps with bitset domains."""
 
@@ -139,25 +133,13 @@ class _SelfMapSearch:
             "wipeouts": 0,
         }
         self._union_memo: Dict[int, int] = {}
-        anchors = [x for x in range(self.n) if self.domains0[x] != self.full]
-        self._layer = self._bfs_layers(anchors)
-
-    def _bfs_layers(self, anchors: List[int]) -> List[int]:
-        layer = [self.n + 1] * self.n
-        frontier = sorted(anchors) if anchors else ([0] if self.n else [])
-        for x in frontier:
-            layer[x] = 0
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for x in frontier:
-                for y in self.img.neighbors(x):
-                    if layer[y] > depth:
-                        layer[y] = depth
-                        nxt.append(y)
-            frontier = nxt
-        return layer
+        # A vertex's layer is its distance from the constrained vertices
+        # (from vertex 0 if none is), n + 1 where unreachable.
+        anchors = sum(1 << x for x, dx in enumerate(self.domains0) if dx != self.full)
+        self._layer = [self.n + 1] * self.n
+        for depth, ring in enumerate(image.rings(anchors or (1 if self.n else 0))):
+            for x in bits(ring):
+                self._layer[x] = depth
 
     # -- propagation -------------------------------------------------------
 
@@ -166,10 +148,7 @@ class _SelfMapSearch:
         if cached is None:
             if time.monotonic() > self._deadline:
                 raise _BudgetExceeded
-            cached = 0
-            for v in _bits(mask):
-                cached |= self.img.closed_neighborhood_bits(v)
-            self._union_memo[mask] = cached
+            cached = self._union_memo[mask] = self.img.dilate(mask)
         return cached
 
     def _propagate(self, dom: List[int], queue: List[int]) -> bool:
@@ -239,7 +218,7 @@ class _SelfMapSearch:
             if self._viable(dom):
                 x = self._pick(dom)
                 if x is not None:
-                    stack.append((dom, x, _bits(dom[x])))
+                    stack.append((dom, x, bits(dom[x])))
                 elif self._leaf_escapes(dom):
                     return tuple(d.bit_length() - 1 for d in dom)
             while True:
@@ -288,18 +267,14 @@ def _check_subset(image: DigitalImage, subset: Iterable[int]) -> List[int]:
 def _balls(image: DigitalImage, r: int) -> List[int]:
     """B(x,r) for every x, as r dilations of {x} by closed neighbourhoods.
     Each step dilates only the vertices the previous step added."""
-    nbhd = image._nbhd_bits
     balls = []
     for x in range(image.n):
         ball = frontier = 1 << x
         for _ in range(r):
-            grown = ball
-            for v in _bits(frontier):
-                grown |= nbhd[v]
-            frontier = grown & ~ball
+            frontier = image.dilate(frontier) & ~ball
             if not frontier:
                 break
-            ball = grown
+            ball |= frontier
         balls.append(ball)
     return balls
 

@@ -1,13 +1,22 @@
+import copy
+import gc
 import json
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from digitop import cli
 from digitop.cli import main
-from digitop.constructions import simple_closed_curve
+from digitop.constructions import box, cone, simple_closed_curve
 from digitop.maps import fixed_points, is_continuous
-from digitop.serialization import document_to_complex, witness_from_document
+from digitop.serialization import (
+    complex_to_document,
+    document_to_complex,
+    witness_from_document,
+)
 from digitop.suite import naive_verdict
 
 
@@ -156,6 +165,92 @@ def test_verify_rejects_vertex_without_id(runner, tmp_path):
     )
 
 
+BOX = ["box", "--extents", "2,2"]  # vertex 1 is (0, 1), vertex 8 is (2, 2)
+
+# Each value equals, or int() turns it into, an integer that fits the
+# document, so a parser that accepts it answers about another image or crashes.
+NON_INTEGER_VALUES = {
+    "vertex id": (BOX, ["vertices", 1, "id"], 1.0),
+    "edge endpoint": (["cycle", "--m", "4"], ["edges", 0, 1], True),
+    "named-set member": (BOX, ["named_sets", "A", 0], 1.5),
+    "coordinate float": (BOX, ["vertices", 8, "coords", 1], 2.5),
+    "coordinate string": (BOX, ["vertices", 8, "coords", 1], "2"),
+    "coordinate bool": (BOX, ["vertices", 1, "coords", 1], True),
+    "adjacency u": (BOX, ["adjacency", "u"], True),
+}
+
+
+@pytest.mark.parametrize("field", sorted(NON_INTEGER_VALUES))
+def test_verify_rejects_non_integer_document_values(runner, tmp_path, field):
+    args, path, value = NON_INTEGER_VALUES[field]
+    image = build(runner, tmp_path, "img", *args)
+    doc = json.loads(image.read_text())
+    doc["named_sets"]["A"] = [0]
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    image.write_text(json.dumps(doc))
+    _assert_usage_error(
+        runner.invoke(main, ["verify", "freezing", "--image", str(image), "--set", "A"])
+    )
+
+
+FUZZ_SEEDS = [
+    complex_to_document(box([2, 1], 1)),
+    complex_to_document(cone(simple_closed_curve(4).image)),
+]
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 10),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 6), max_size=3),
+    st.dictionaries(st.sampled_from(["id", "u", "type", "coords"]), st.integers(0, 3), max_size=2),
+)
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON value."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for key in list(keys):
+        yield node, key
+        if isinstance(node[key], (dict, list)):
+            yield from _slots(node[key])
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(FUZZ_SEEDS)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(mutated_documents(), st.sampled_from(["all", "corners", "X_base", "U"]))
+def test_fuzzed_documents_never_crash(tmp_path, doc, spec):
+    image = tmp_path / "fuzz.json"
+    image.write_text(json.dumps(doc))
+    result = CliRunner().invoke(
+        main, ["--budget-ms", "2000", "--quiet", "verify", "freezing",
+               "--image", str(image), "--set", spec]
+    )
+    assert result.exit_code in (0, 1, 2, 3)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        f"{type(result.exception).__name__}: {result.exception}"
+    )
+
+
 def test_verify_rejects_negative_bounds(runner, tmp_path):
     b = build(runner, tmp_path, "b", "box", "--extents", "2,2", "--u", "1")
     query = ["--image", str(b), "--set", "corners"]
@@ -240,6 +335,25 @@ def test_paper_suite_starvation(runner):
     )
     assert result.exit_code == 3
     assert "UNKNOWN" in result.output
+
+
+def test_repeated_verify_does_not_keep_its_output(runner, tmp_path):
+    # A benchmark runs `verify` in process thousands of times, so click's
+    # stream cache must not keep each call's captured stdout (~2 KB) alive.
+    b = build(runner, tmp_path, "b", "box", "--extents", "3,3", "--u", "1")
+    args = ["verify", "freezing", "--image", str(b), "--set", "corners"]
+    for _ in range(10):
+        runner.invoke(main, args)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(200):
+            assert runner.invoke(main, args).exit_code == 0
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 100_000
 
 
 def test_verify_calls_one_decider_global_per_property(runner, tmp_path, monkeypatch):

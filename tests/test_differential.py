@@ -2,21 +2,43 @@
 
 Every verdict of `is_freezing`, `is_s_cold` and `is_limiting` on a random
 connected graph must equal `suite.naive_verdict`, and every `fails` witness
-is re-checked with `digitop.maps`.  The engine's displacement balls, grown
-by dilation, must equal the balls read off `DigitalImage.distance`.  Graphs
-have at most 8 vertices and degree at most 3: the oracle enumerates
-continuous maps vertex by vertex, so this bounds its work by 8 * 4^7 maps
-per query (a star on 8 vertices alone has more than 2 million).
+is re-checked with `digitop.maps`.  The metric of `DigitalImage` (dilation
+rings, distance, diameter, connectivity, domination) and the engine's
+displacement balls must agree with `suite.naive_distances`, the oracle's own
+breadth-first search, on connected and disconnected graphs.  The cone and
+suspension theorems are replayed on random bases.  Query graphs have at most
+8 vertices and degree at most 3: the oracle enumerates continuous maps
+vertex by vertex, so this bounds its work by 8 * 4^7 maps per query (a star
+on 8 vertices alone has more than 2 million).
 """
 
+import math
+from itertools import islice
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from digitop.constructions import box, cone, pyramid, solid_pyramid, suspension
-from digitop.graph import DigitalImage
+from digitop.constructions import (
+    box,
+    cone,
+    pyramid,
+    satisfies_not_small,
+    solid_pyramid,
+    suspension,
+)
+from digitop.graph import DigitalImage, DisconnectedImageError
 from digitop.maps import fixed_points, is_continuous, max_displacement
-from digitop.suite import _small_bases, naive_verdict
-from digitop.verifier import FAILS, _balls, is_freezing, is_limiting, is_s_cold
+from digitop.suite import _small_bases, naive_distances, naive_verdict
+from digitop.verifier import (
+    FAILS,
+    HOLDS,
+    _balls,
+    is_freezing,
+    is_limiting,
+    is_minimal_freezing,
+    is_s_cold,
+)
 
 MAX_VERTICES = 8
 MAX_DEGREE = 3
@@ -92,11 +114,48 @@ def test_limiting_matches_naive_oracle(query, m, n):
         assert max_displacement(f) > n
 
 
-def _distance_balls(image, r):
-    return [
-        sum(1 << v for v in range(image.n) if image.distance(x, v) <= r)
-        for x in range(image.n)
-    ]
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
+def _check_metric(image, subset):
+    """Every metric query of `image` against `naive_distances`."""
+    n = image.n
+    dist = naive_distances(image)
+    for r in range(4):
+        assert _balls(image, r) == [
+            _mask(v for v in range(n) if dist[x][v] <= r) for x in range(n)
+        ]
+    sources = [[x] for x in range(n)] + ([subset] if subset else [])
+    for source in sources:
+        gap = [min(dist[x][v] for x in source) for v in range(n)]
+        far = max(g for g in gap if g < math.inf)
+        # islice keeps a rings() that never empties from hanging the test.
+        assert list(islice(image.rings(_mask(source)), n + 1)) == [
+            _mask(v for v in range(n) if gap[v] == k) for k in range(far + 1)
+        ]
+    for x in range(n):
+        for y in range(n):
+            assert image.distance(x, y) == dist[x][y]
+    connected = all(d < math.inf for d in dist[0]) if n else True
+    assert image.is_connected() == connected
+    if connected and n:
+        assert image.diameter() == max(max(row) for row in dist)
+    elif n:
+        with pytest.raises(DisconnectedImageError):
+            image.diameter()
+    covered = set(subset).union(*(image.neighbors(x) for x in subset))
+    assert image.is_dominating(subset) == (len(covered) == n)
+
+
+@st.composite
+def graphs(draw):
+    """Any graph on at most 8 vertices, often disconnected, with a subset."""
+    n = draw(st.integers(1, MAX_VERTICES))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+    return DigitalImage(n, edges), sorted(draw(st.sets(vertex)))
 
 
 def test_balls_match_distances_on_suite_images():
@@ -104,13 +163,48 @@ def test_balls_match_distances_on_suite_images():
     images += [cone(image).image for image in images[:3]]
     images += [suspension(image).image for image in images[:3]]
     images += [pyramid(2).image, solid_pyramid(2).image, box([2, 2, 2], 1).image]
+    images += [DigitalImage(0, []), DigitalImage(3, [(0, 1)])]
     for image in images:
-        for r in range(4):
-            assert _balls(image, r) == _distance_balls(image, r)
+        _check_metric(image, list(range(0, image.n, 3)))
 
 
 @bounded
-@given(connected_queries(), st.integers(0, 3))
-def test_balls_match_distances_on_random_graphs(query, r):
-    image, _ = query
-    assert _balls(image, r) == _distance_balls(image, r)
+@given(graphs())
+def test_balls_match_distances_on_random_graphs(query):
+    _check_metric(*query)
+
+
+@bounded
+@given(connected_queries())
+def test_cone_over_a_base_that_is_not_small_is_frozen_minimally_by_it(query):
+    """If no closed neighbourhood covers X, X is a minimal freezing set of
+    CX.  The cone has at most 9 vertices, so the oracle checks it too."""
+    base, _ = query
+    if not satisfies_not_small(base):
+        return
+    cx = cone(base)
+    members = sorted(cx.named_sets["X_base"])
+    assert is_minimal_freezing(cx.image, members).verdict == HOLDS
+    assert naive_verdict(cx.image, "freezing", members) == HOLDS
+    for x in members:
+        rest = [y for y in members if y != x]
+        assert naive_verdict(cx.image, "freezing", rest) == FAILS
+
+
+@bounded
+@given(connected_queries())
+def test_suspension_poles_lie_in_every_freezing_set(query):
+    """SX minus either pole is not freezing, for every base X."""
+    base, _ = query
+    sx = suspension(base)
+    for pole in ("U", "L"):
+        (p,) = sx.named_sets[pole]
+        rest = [v for v in range(sx.image.n) if v != p]
+        report = is_freezing(sx.image, rest)
+        assert report.verdict == FAILS
+        f = report.witness
+        assert is_continuous(f)
+        assert set(rest) <= fixed_points(f)
+        assert f(p) != p
+        if sx.image.n <= 9:
+            assert naive_verdict(sx.image, "freezing", rest) == FAILS

@@ -1,7 +1,11 @@
 import math
+import random
+import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitop.constructions import (
     box,
@@ -17,6 +21,7 @@ from digitop.graph import (
     DisconnectedImageError,
     UnknownVertexError,
 )
+from digitop.lattice import cu_adjacent
 from geodesics import unique_shortest_path
 
 
@@ -35,6 +40,43 @@ def test_rejects_bad_edges():
 def test_rejects_duplicate_points():
     with pytest.raises(ValueError):
         DigitalImage.from_points([(0, 0), (0, 0)], u=1)
+
+
+@st.composite
+def point_sets(draw):
+    d = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+    return sorted(draw(st.sets(point, min_size=1, max_size=30))), draw(st.integers(1, d))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(point_sets())
+def test_from_points_edges_equal_pairwise_cu_adjacency(case):
+    points, u = case
+    expected = {
+        (i, j)
+        for i, j in combinations(range(len(points)), 2)
+        if cu_adjacent(points[i], points[j], u)
+    }
+    assert DigitalImage.from_points(points, u).edges == expected
+
+
+def _build_seconds(points, u):
+    start = time.perf_counter()
+    image = DigitalImage.from_points(points, u)
+    return image, time.perf_counter() - start
+
+
+def test_from_points_does_not_walk_all_offsets_in_high_dimension():
+    # Under c_d a point has up to 3^d - 1 candidate neighbours; the index
+    # must only look up prefixes that some point has.
+    two, seconds = _build_seconds([(0,) * 20, (1,) * 20], 20)
+    assert two.edges == {(0, 1)} and seconds < 1
+    rng = random.Random(12)
+    cube = sorted({tuple(rng.randint(0, 1) for _ in range(12)) for _ in range(200)})
+    dense, seconds = _build_seconds(cube, 12)
+    # Distinct 0/1 points differ by 1 in 1..12 coordinates: all c_12-adjacent.
+    assert len(dense.edges) == len(cube) * (len(cube) - 1) // 2 and seconds < 1
 
 
 def test_neighborhood_contains_self(cycle4):

@@ -65,7 +65,7 @@ def _reason(exc: Exception) -> str:
 def _load_complex(path: str) -> NamedComplex:
     try:
         return document_to_complex(json.loads(Path(path).read_text()))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise click.UsageError(f"cannot read image {path}: {_reason(exc)}")
 
 
@@ -81,31 +81,43 @@ def _write_or_print(text: str, out: Optional[str], quiet: bool) -> None:
 def _resolve_set(nc: NamedComplex, spec: str) -> List[int]:
     """A set spec is 'all', 'all-minus-<spec>', a +-joined union of named
     sets, or a path to a JSON list of vertex ids."""
+    complements = 0
+    while spec.startswith("all-minus-"):
+        spec = spec[len("all-minus-") :]
+        complements += 1
+    members = _union(nc, spec)
+    if complements % 2:
+        members = set(range(nc.image.n)) - members
+    return sorted(members)
+
+
+def _union(nc: NamedComplex, spec: str) -> set:
     if spec == "all":
-        return list(range(nc.image.n))
-    if spec.startswith("all-minus-"):
-        removed = set(_resolve_set(nc, spec[len("all-minus-") :]))
-        return [x for x in range(nc.image.n) if x not in removed]
+        return set(range(nc.image.n))
     members: set = set()
     for term in spec.split("+"):
         if term in nc.named_sets:
             members |= nc.named_sets[term]
-        elif Path(term).exists():
-            try:
-                ids = json.loads(Path(term).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                raise click.UsageError(f"cannot read set file {term}: {exc}")
-            if not isinstance(ids, list) or not all(type(x) is int for x in ids):
-                raise click.UsageError(f"set file {term} is not a JSON list of ids")
-            try:
-                members |= {nc.image.check_vertex(x) for x in ids}
-            except UnknownVertexError as exc:
-                raise click.UsageError(f"set file {term}: {_reason(exc)}")
-        else:
+            continue
+        try:
+            is_file = Path(term).exists()
+        except (OSError, ValueError):  # a name too long for the OS, or a NUL byte
+            is_file = False
+        if not is_file:
             raise click.UsageError(
                 f"unknown set {term!r}: not a named set of the image nor a file"
             )
-    return sorted(members)
+        try:
+            ids = json.loads(Path(term).read_text())
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
+            raise click.UsageError(f"cannot read set file {term}: {exc}")
+        if not isinstance(ids, list) or not all(type(x) is int for x in ids):
+            raise click.UsageError(f"set file {term} is not a JSON list of ids")
+        try:
+            members |= {nc.image.check_vertex(x) for x in ids}
+        except UnknownVertexError as exc:
+            raise click.UsageError(f"set file {term}: {_reason(exc)}")
+    return members
 
 
 FAMILIES = [

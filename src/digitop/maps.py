@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from .graph import DigitalImage, DisconnectedImageError, bits
 
@@ -101,41 +101,27 @@ def random_continuous_map(
 ) -> Mapping:
     """A seeded random continuous self-map fixing `fixed` pointwise.
 
-    Vertices are assigned ring by ring from the fixed set (from vertex 0 if
-    it is empty), in id order within a ring, choosing uniformly among values
-    consistent with already-assigned neighbors and backtracking on dead
-    ends.  The identity extension always exists, so this terminates.
+    The first leaf of the verifier's search with `fixed` pinned, trying the
+    values of each branching vertex in an order shuffled by `seed`.  The
+    identity is a leaf, so one exists; a search that outruns the default
+    budget raises TimeoutError.
     """
+    from .verifier import DEFAULT_BUDGET, _SelfMapSearch
+
     if not image.is_connected():
         raise DisconnectedImageError("random map generation requires connectivity")
     rng = random.Random(seed)
-    fixed = sorted(set(fixed))
+    domains = [(1 << image.n) - 1] * image.n
     for x in fixed:
-        image.check_vertex(x)
-    start = sum(1 << x for x in fixed) or (1 if image.n else 0)
-    order = [x for ring in image.rings(start) for x in bits(ring)][len(fixed):]
-    assignment: dict[int, int] = {x: x for x in fixed}
+        domains[image.check_vertex(x)] = 1 << x
 
-    def assign(k: int) -> bool:
-        if k == len(order):
-            return True
-        x = order[k]
-        mask = (1 << image.n) - 1
-        for y in image.neighbors(x):
-            if y in assignment:
-                mask &= image.closed_neighborhood_bits(assignment[y])
-        candidates = [v for v in range(image.n) if (mask >> v) & 1]
-        rng.shuffle(candidates)
-        for v in candidates:
-            assignment[x] = v
-            if assign(k + 1):
-                return True
-            del assignment[x]
-        return False
+    def shuffled(mask: int) -> Iterator[int]:
+        values = list(bits(mask))
+        rng.shuffle(values)
+        return iter(values)
 
-    if not assign(0):  # pragma: no cover - identity extension always succeeds
-        raise RuntimeError("no continuous extension found")
-    return Mapping(image, image, tuple(assignment[x] for x in range(image.n)))
+    search = _SelfMapSearch(image, domains, None, DEFAULT_BUDGET, shuffled)
+    return Mapping(image, image, next(search.leaves()))
 
 
 def check_pulling(f: Mapping) -> bool:

@@ -137,11 +137,13 @@ def to_dot(nc: NamedComplex, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
     for i in range(image.n):
         if image.labels[i] is not None:
-            label = image.labels[i]
+            label = str(image.labels[i])
         elif image.coords[i] is not None:
             label = "(" + ",".join(str(c) for c in image.coords[i]) + ")"
         else:
             label = str(i)
+        # DOT quoted strings escape `"`; a backslash starts an escape too.
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  v{i} [label="{label}"];')
     for a, b in sorted(image.edges):
         lines.append(f"  v{a} -- v{b};")

@@ -9,10 +9,15 @@ deciders only name the property in their reports.  Balls are r dilations of
 {x} by closed neighbourhoods (`DigitalImage.dilate`); no distance matrix is
 built.
 
-The search is a complete depth-first assignment over bitset domains, with an
-explicit stack rather than recursion: arc-consistency propagation (AC-3) to
-a fixpoint at every node, a viability check that cuts subtrees in which no
-vertex can still escape, and branching on values in vertex-id order.
+The engine is one walk, `_SelfMapSearch.leaves`: root propagation, then a
+depth-first search over bitset domains on an explicit stack, with arc
+consistency (AC-3) to a fixpoint at every node and a viability check that
+cuts subtrees in which no vertex can still escape.  It branches on the first
+vertex whose domain is not a singleton, in ring order from the constrained
+vertices (vertex 0 if none is), id order within a ring.  At a leaf every
+domain is a singleton, so the fixpoint makes it a continuous map.  Deciding
+takes the first leaf, enumeration counts leaves, and
+`maps.random_continuous_map` takes the first leaf under a seeded value order.
 
 The paper's unique-path and pulling lemmas are not engine rules, because
 the arc-consistency fixpoint already implies both:
@@ -31,9 +36,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .graph import DigitalImage, DisconnectedImageError, bits
+from .lattice import c1_boundary
 from .maps import Mapping, is_continuous
 
 HOLDS = "holds"
@@ -59,12 +76,11 @@ class SearchBudget:
 DEFAULT_BUDGET = SearchBudget()
 
 
-class _BudgetExceeded(Exception):
-    pass
+class _BudgetExceeded(TimeoutError):
+    """Out of nodes or time: deciders answer unknown, other callers raise."""
 
-
-class _CapExceeded(Exception):
-    pass
+    def __init__(self) -> None:
+        super().__init__("search exhausted its budget")
 
 
 @dataclass
@@ -112,16 +128,16 @@ class _SelfMapSearch:
         domains: Sequence[int],
         escape: Optional[Sequence[int]],
         budget: SearchBudget,
-        count_cap: Optional[int] = None,
+        values: Callable[[int], Iterator[int]] = bits,
     ) -> None:
+        self._t0 = time.monotonic()
+        self._deadline = self._t0 + budget.max_millis / 1000
         self.img = image
         self.n = image.n
-        self.full = (1 << self.n) - 1
         self.domains0 = list(domains)
         self.escape = list(escape) if escape is not None else None
         self.budget = budget
-        self.count_cap = count_cap
-        self.count = 0
+        self.values = values
         self.nodes = 0
         # The benchmark reports one figure per key, so the key set is fixed.
         # unique_path_forced and pulling_filtered are always 0: arc
@@ -133,13 +149,16 @@ class _SelfMapSearch:
             "wipeouts": 0,
         }
         self._union_memo: Dict[int, int] = {}
-        # A vertex's layer is its distance from the constrained vertices
-        # (from vertex 0 if none is), n + 1 where unreachable.
-        anchors = sum(1 << x for x, dx in enumerate(self.domains0) if dx != self.full)
-        self._layer = [self.n + 1] * self.n
-        for depth, ring in enumerate(image.rings(anchors or (1 if self.n else 0))):
-            for x in bits(ring):
-                self._layer[x] = depth
+        # Branching order: ring by ring from the constrained vertices (from
+        # vertex 0 if none is), then any vertex the rings do not reach.
+        full = (1 << self.n) - 1
+        anchors = sum(1 << x for x, dx in enumerate(self.domains0) if dx != full)
+        reached = 0
+        self._order: List[int] = []
+        for ring in image.rings(anchors or (1 if self.n else 0)):
+            reached |= ring
+            self._order += bits(ring)
+        self._order += bits(full & ~reached)
 
     # -- propagation -------------------------------------------------------
 
@@ -152,14 +171,11 @@ class _SelfMapSearch:
         return cached
 
     def _propagate(self, dom: List[int], queue: List[int]) -> bool:
-        """Arc consistency to fixpoint: dom(y) &= N*(dom(x)) along each edge."""
+        """Arc consistency to fixpoint: dom(y) &= N*(dom(x)) along each edge.
+        Every queued domain is non-empty: one is narrowed only to non-empty."""
         while queue:
             x = queue.pop()
-            dx = dom[x]
-            if dx == 0:
-                self.stats["wipeouts"] += 1
-                return False
-            allowed = self._union_nbhd(dx)
+            allowed = self._union_nbhd(dom[x])
             for y in self.img.neighbors(x):
                 ny = dom[y] & allowed
                 if ny != dom[y]:
@@ -188,68 +204,60 @@ class _SelfMapSearch:
         if self.nodes > self.budget.max_nodes or time.monotonic() > self._deadline:
             raise _BudgetExceeded
 
-    def _pick(self, dom: List[int]) -> Optional[int]:
-        best = None
-        best_key = None
-        for x in range(self.n):
-            dx = dom[x]
+    def _pick(self, dom: List[int], start: int) -> int:
+        """The first position from `start` whose domain is not a singleton."""
+        order = self._order
+        for i in range(start, len(order)):
+            dx = dom[order[i]]
             if dx & (dx - 1):
-                key = (self._layer[x], dx.bit_count(), x)
-                if best_key is None or key < best_key:
-                    best, best_key = x, key
-        return best
+                return i
+        return len(order)
 
-    def _leaf_escapes(self, dom: List[int]) -> bool:
-        """Every domain is a singleton, so by the AC fixpoint the map is
-        continuous.  Enumeration counts it; the search asks if it escapes."""
-        if self.escape is None:
-            self.count += 1
-            if self.count_cap is not None and self.count > self.count_cap:
-                raise _CapExceeded
-            return False
-        return any(d & e for d, e in zip(dom, self.escape))
-
-    def _dfs(self, dom: List[int]) -> Optional[Tuple[int, ...]]:
-        """Expand `dom`, then its children in value order, depth first.  Each
-        stack entry is (parent domains, branching vertex, values left)."""
+    def leaves(self) -> Iterator[Tuple[int, ...]]:
+        """Every viable leaf, depth first, children in `values` order; raises
+        _BudgetExceeded when the budget runs out.  A stack entry is (parent
+        domains, branching position, values left).  Domains only shrink along
+        a path, so a child resumes the branching scan after that position."""
+        dom = list(self.domains0)
+        if not self._propagate(dom, list(range(self.n))):
+            return
+        order = self._order
         stack: List[Tuple[List[int], int, Iterator[int]]] = []
+        start = 0
         while True:
             self._tick()
             if self._viable(dom):
-                x = self._pick(dom)
-                if x is not None:
-                    stack.append((dom, x, bits(dom[x])))
-                elif self._leaf_escapes(dom):
-                    return tuple(d.bit_length() - 1 for d in dom)
+                i = self._pick(dom, start)
+                if i < len(order):
+                    stack.append((dom, i, self.values(dom[order[i]])))
+                else:
+                    yield tuple(d.bit_length() - 1 for d in dom)
             while True:
                 if not stack:
-                    return None
-                parent, x, values = stack[-1]
+                    return
+                parent, i, values = stack[-1]
                 v = next(values, None)
                 if v is None:
                     stack.pop()
                     continue
+                x = order[i]
                 dom = parent.copy()
                 dom[x] = 1 << v
                 if self._propagate(dom, [x]):
+                    start = i + 1
                     break
 
     def run(self) -> SearchResult:
-        self._t0 = time.monotonic()
-        self._deadline = self._t0 + self.budget.max_millis / 1000
+        """The first leaf, which escapes: a leaf that does not is not viable."""
         status = NONE
         witness = None
         try:
-            dom = list(self.domains0)
-            if self._propagate(dom, list(range(self.n))):
-                found = self._dfs(dom)
-                if found is not None:
-                    status = FOUND
-                    witness = Mapping(self.img, self.img, found)
+            leaf = next(self.leaves(), None)
+            if leaf is not None:
+                status = FOUND
+                witness = Mapping(self.img, self.img, leaf)
         except _BudgetExceeded:
             status = UNKNOWN
-        except _CapExceeded:
-            status = FOUND  # count cap exceeded; caller inspects .count
         elapsed = (time.monotonic() - self._t0) * 1000
         return SearchResult(status, witness, self.nodes, elapsed, dict(self.stats))
 
@@ -265,17 +273,11 @@ def _check_subset(image: DigitalImage, subset: Iterable[int]) -> List[int]:
 
 
 def _balls(image: DigitalImage, r: int) -> List[int]:
-    """B(x,r) for every x, as r dilations of {x} by closed neighbourhoods.
-    Each step dilates only the vertices the previous step added."""
-    balls = []
-    for x in range(image.n):
-        ball = frontier = 1 << x
-        for _ in range(r):
-            frontier = image.dilate(frontier) & ~ball
-            if not frontier:
-                break
-            ball |= frontier
-        balls.append(ball)
+    """B(x,r) for every x: {x} dilated r times.  At the radii the deciders
+    use (0 to 2) this is faster than reading r + 1 rings per vertex."""
+    balls = [1 << x for x in range(image.n)]
+    for _ in range(r):
+        balls = [image.dilate(ball) for ball in balls]
     return balls
 
 
@@ -433,10 +435,7 @@ def search_minimal_freezing(
     _require_connected(image)
     if seed_set is None:
         if image.is_coordinate_backed:
-            from .lattice import c1_boundary
-
-            d = len(image.coords[0])
-            boundary = c1_boundary([p for p in image.coords], d)
+            boundary = c1_boundary(image.coords, image.dimension)
             current = sorted(image.vertex_at(p) for p in boundary)
         else:
             current = list(range(image.n))
@@ -468,7 +467,8 @@ def enumerate_continuous_self_maps(
 
     Counts leaves of the same complete search used by the deciders (arc
     consistency removes no continuous map), so this doubles as the
-    brute-force oracle for validating them.
+    brute-force oracle for validating them.  Stops after cap + 1 leaves;
+    raises TimeoutError when the budget runs out first.
     """
     if image.n > 64:
         raise ValueError("enumeration is guarded to images with <= 64 vertices")
@@ -479,12 +479,6 @@ def enumerate_continuous_self_maps(
     domains = [full] * image.n
     for x in members:
         domains[x] = 1 << x
-    search = _SelfMapSearch(image, domains, None, budget, count_cap=cap)
-    result = search.run()
-    if result.status == UNKNOWN:
-        raise _budget_error()
-    return MapCount(count=search.count, exact=search.count <= cap)
-
-
-def _budget_error() -> Exception:
-    return TimeoutError("enumeration exhausted its search budget")
+    leaves = _SelfMapSearch(image, domains, None, budget).leaves()
+    count = sum(1 for _ in islice(leaves, cap + 1))
+    return MapCount(count=count, exact=count <= cap)

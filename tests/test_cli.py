@@ -241,14 +241,54 @@ def mutated_documents(draw):
 def test_fuzzed_documents_never_crash(tmp_path, doc, spec):
     image = tmp_path / "fuzz.json"
     image.write_text(json.dumps(doc))
-    result = CliRunner().invoke(
-        main, ["--budget-ms", "2000", "--quiet", "verify", "freezing",
-               "--image", str(image), "--set", spec]
-    )
+    for command in (["verify", "freezing", "--set", spec], ["search-minimal"]):
+        _assert_no_crash(CliRunner().invoke(
+            main, ["--budget-ms", "2000", "--quiet", *command, "--image", str(image)]
+        ))
+
+
+def _assert_no_crash(result):
     assert result.exit_code in (0, 1, 2, 3)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         f"{type(result.exception).__name__}: {result.exception}"
     )
+
+
+SET_TERMS = st.one_of(
+    st.sampled_from(["all", "corners", "Bd", "nope", ""]),
+    st.text(alphabet="ab+-\x00", max_size=6),
+    st.integers(300, 5000).map(lambda k: "a" * k),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 3000), st.lists(SET_TERMS, min_size=1, max_size=3))
+def test_fuzzed_set_specs_never_crash(tmp_path, complements, terms):
+    image = tmp_path / "box.json"
+    if not image.exists():
+        image.write_text(json.dumps(complex_to_document(box([2, 2], 1))))
+    spec = "all-minus-" * complements + "+".join(terms)
+    _assert_no_crash(CliRunner().invoke(
+        main, ["--quiet", "verify", "freezing", "--image", str(image), "--set", spec]
+    ))
+
+
+def test_set_spec_edge_cases(runner, tmp_path):
+    b = build(runner, tmp_path, "b", "box", "--extents", "2,2", "--u", "1")
+    query = ["verify", "freezing", "--image", str(b), "--set"]
+    _assert_usage_error(runner.invoke(main, [*query, "a" * 5000]))
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)  # too deep for the JSON decoder
+    _assert_usage_error(runner.invoke(main, [*query, str(nested)]))
+    _assert_usage_error(runner.invoke(
+        main, ["verify", "freezing", "--image", str(nested), "--set", "all"]
+    ))
+    # Nesting is resolved without recursion: an even number of complements
+    # gives back the corners, which freeze the box; an odd number does not.
+    for complements, exit_code in ((2000, 0), (2001, 1)):
+        spec = "all-minus-" * complements + "corners"
+        assert runner.invoke(main, ["--quiet", *query, spec]).exit_code == exit_code
 
 
 def test_verify_rejects_negative_bounds(runner, tmp_path):
@@ -288,6 +328,17 @@ def test_search_minimal(runner, tmp_path):
         main, ["search-minimal", "--image", str(b1), "--set", "corners"]
     )
     assert set(json.loads(seeded.output)) == set(nc.named_sets["corners"])
+
+
+def test_search_minimal_on_an_empty_lattice_image(runner, tmp_path):
+    empty = tmp_path / "empty.json"
+    for adjacency in ({"type": "cu", "u": 1}, {"type": "explicit"}):
+        doc = {"format_version": 1, "dimension": 2, "adjacency": adjacency,
+               "vertices": [], "named_sets": {}}
+        empty.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["search-minimal", "--image", str(empty)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == []
 
 
 def test_search_minimal_rejects_non_freezing_seed(runner, tmp_path):

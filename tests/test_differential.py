@@ -2,14 +2,15 @@
 
 Every verdict of `is_freezing`, `is_s_cold` and `is_limiting` on a random
 connected graph must equal `suite.naive_verdict`, and every `fails` witness
-is re-checked with `digitop.maps`.  The metric of `DigitalImage` (dilation
-rings, distance, diameter, connectivity, domination) and the engine's
-displacement balls must agree with `suite.naive_distances`, the oracle's own
-breadth-first search, on connected and disconnected graphs.  The cone and
-suspension theorems are replayed on random bases.  Query graphs have at most
-8 vertices and degree at most 3: the oracle enumerates continuous maps
-vertex by vertex, so this bounds its work by 8 * 4^7 maps per query (a star
-on 8 vertices alone has more than 2 million).
+is re-checked with `digitop.maps`, as is every seeded random map.  The
+metric of `DigitalImage` (dilation rings, distance, diameter, connectivity,
+domination) and the engine's displacement balls must agree with
+`suite.naive_distances`, the oracle's own breadth-first search, on connected
+and disconnected graphs.  The cone and suspension theorems are replayed on
+random bases.  Query graphs have at most 8 vertices and degree at most 3:
+the oracle enumerates continuous maps vertex by vertex, so this bounds its
+work by 8 * 4^7 maps per query (a star on 8 vertices alone has more than 2
+million).
 """
 
 import math
@@ -28,7 +29,12 @@ from digitop.constructions import (
     suspension,
 )
 from digitop.graph import DigitalImage, DisconnectedImageError
-from digitop.maps import fixed_points, is_continuous, max_displacement
+from digitop.maps import (
+    fixed_points,
+    is_continuous,
+    max_displacement,
+    random_continuous_map,
+)
 from digitop.suite import _small_bases, naive_distances, naive_verdict
 from digitop.verifier import (
     FAILS,
@@ -112,6 +118,16 @@ def test_limiting_matches_naive_oracle(query, m, n):
         assert is_continuous(f)
         assert max_displacement(f, subset) <= m
         assert max_displacement(f) > n
+
+
+@bounded
+@given(connected_queries(), st.integers(0, 2**32))
+def test_random_maps_are_continuous_fix_their_set_and_repeat_per_seed(query, seed):
+    image, fixed = query
+    f = random_continuous_map(image, fixed, seed)
+    assert is_continuous(f)
+    assert set(fixed) <= fixed_points(f)
+    assert random_continuous_map(image, fixed, seed) == f
 
 
 def _mask(vertices):

@@ -150,6 +150,16 @@ def test_random_map_all_fixed_is_identity():
     assert f.assignment == tuple(range(img.n))
 
 
+def test_random_map_on_a_large_box_does_not_recurse():
+    # The search assigns up to all 1,089 vertices, one stack entry each.
+    b = box([32, 32], 1)
+    corner = min(b.named_sets["corners"])
+    for fixed in ((), (corner,)):
+        f = random_continuous_map(b.image, fixed, seed=5)
+        assert is_continuous(f)
+        assert set(fixed) <= fixed_points(f)
+
+
 def test_composition_preserves_continuity():
     img = box([2, 2], 2).image
     for s in range(20):

@@ -116,3 +116,7 @@ def test_dot_export():
 
     b = to_dot(box([1, 1], 1))
     assert '[label="(0,0)"]' in b
+
+    quoted = NamedComplex(DigitalImage(2, [(0, 1)], labels=['a"b', "c\\"]), {})
+    assert '  v0 [label="a\\"b"];' in to_dot(quoted)
+    assert '  v1 [label="c\\\\"];' in to_dot(quoted)

@@ -66,6 +66,13 @@ def test_enumeration_cap():
     assert result.count > 5
 
 
+def test_enumeration_out_of_budget_raises_timeout():
+    with pytest.raises(TimeoutError):
+        enumerate_continuous_self_maps(
+            interval(0, 2).image, budget=SearchBudget(max_nodes=3)
+        )
+
+
 def test_enumeration_guard():
     with pytest.raises(ValueError):
         enumerate_continuous_self_maps(DigitalImage(65, []))

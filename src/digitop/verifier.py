@@ -5,9 +5,8 @@ Every query is one (m,n)-limiting search: find a continuous self-map f with
 f(x) in B(x,m) for each member x of the set and f(v) outside B(v,n) for some
 vertex v.  The set is (m,n)-limiting iff no such f exists.  A freezing set is
 a (0,0)-limiting set and an s-cold set a (0,s)-limiting set, so those
-deciders only name the property in their reports.  Balls are r dilations of
-{x} by closed neighbourhoods (`DigitalImage.dilate`); no distance matrix is
-built.
+deciders only name the property in their reports.  Balls grow one
+neighbourhood at a time until the radius or the diameter is reached.
 
 The engine is one walk, `_SelfMapSearch.leaves`: root propagation, then a
 depth-first search over bitset domains on an explicit stack, with arc
@@ -273,11 +272,20 @@ def _check_subset(image: DigitalImage, subset: Iterable[int]) -> List[int]:
 
 
 def _balls(image: DigitalImage, r: int) -> List[int]:
-    """B(x,r) for every x: {x} dilated r times.  At the radii the deciders
-    use (0 to 2) this is faster than reading r + 1 rings per vertex."""
-    balls = [1 << x for x in range(image.n)]
-    for _ in range(r):
-        balls = [image.dilate(ball) for ball in balls]
+    """B(x,r) for every x: B(x,t+1) is the OR of B(y,t) over y in N*(x), one
+    OR per edge and step, and the steps stop once no ball grows."""
+    xs = range(image.n)
+    balls = [image.closed_neighborhood_bits(x) if r else 1 << x for x in xs]
+    around = [image.neighbors(x) for x in xs] if r > 1 else []
+    for _ in range(r - 1):
+        grown = []
+        for ball, nbrs in zip(balls, around):
+            for y in nbrs:
+                ball |= balls[y]
+            grown.append(ball)
+        if grown == balls:
+            break
+        balls = grown
     return balls
 
 
@@ -433,14 +441,10 @@ def search_minimal_freezing(
     set that restarting the scan from the lowest id after every removal finds.
     """
     _require_connected(image)
-    if seed_set is None:
-        if image.is_coordinate_backed:
-            boundary = c1_boundary(image.coords, image.dimension)
-            current = sorted(image.vertex_at(p) for p in boundary)
-        else:
-            current = list(range(image.n))
-    else:
-        current = _check_subset(image, seed_set)
+    if seed_set is None and image.is_coordinate_backed:
+        boundary = c1_boundary(image.coords, image.dimension)
+        seed_set = [image.vertex_at(p) for p in boundary]
+    current = _check_subset(image, range(image.n) if seed_set is None else seed_set)
     check = _limiting_search(image, current, 0, 0, budget)
     nodes = check.nodes
     if check.status == UNKNOWN:

@@ -306,6 +306,27 @@ def test_long_witness_on_box_does_not_recurse():
     _assert_freezing_witness(b.image, [corner], report)
 
 
+def test_a_radius_past_the_diameter_is_answered_within_the_budget():
+    # Balls are built before the search clock starts; they stop growing at
+    # the diameter, so a huge m, n or s costs no more than the diameter.
+    budget = SearchBudget(max_millis=50)
+    slack_ms = 250
+    c8 = simple_closed_curve(8).image
+    b = box([32, 32], 1)
+    corner = min(b.named_sets["corners"])
+    for query, verdict in (
+        (lambda: is_s_cold(c8, [0], 10**6, budget), HOLDS),
+        (lambda: is_limiting(c8, [0], 1, 10**6, budget), HOLDS),
+        (lambda: is_limiting(c8, [0], 10**6, 3, budget), FAILS),
+        (lambda: is_s_cold(b.image, [corner], 1000, budget), HOLDS),
+    ):
+        t0 = time.monotonic()
+        report = query()
+        elapsed_ms = (time.monotonic() - t0) * 1000
+        assert report.verdict == verdict
+        assert elapsed_ms <= budget.max_millis + slack_ms
+
+
 def test_time_budget_is_kept_in_root_propagation_and_search():
     # Unbudgeted, each query runs for seconds on C_3000.
     budget = SearchBudget(max_millis=50)

@@ -81,21 +81,25 @@ def _write_or_print(text: str, out: Optional[str], quiet: bool) -> None:
 def _resolve_set(nc: NamedComplex, spec: str) -> List[int]:
     """A set spec is 'all', 'all-minus-<spec>', a +-joined union of named
     sets, or a path to a JSON list of vertex ids."""
+    rest = spec
     complements = 0
-    while spec.startswith("all-minus-"):
-        spec = spec[len("all-minus-") :]
+    while rest.startswith("all-minus-"):
+        rest = rest[len("all-minus-") :]
         complements += 1
-    members = _union(nc, spec)
+    terms = rest.split("+")
+    if "" in terms:
+        raise click.UsageError(f"set spec {spec!r} has an empty term")
+    members = _union(nc, terms)
     if complements % 2:
         members = set(range(nc.image.n)) - members
     return sorted(members)
 
 
-def _union(nc: NamedComplex, spec: str) -> set:
-    if spec == "all":
+def _union(nc: NamedComplex, terms: List[str]) -> set:
+    if terms == ["all"]:
         return set(range(nc.image.n))
     members: set = set()
-    for term in spec.split("+"):
+    for term in terms:
         if term in nc.named_sets:
             members |= nc.named_sets[term]
             continue
@@ -246,7 +250,7 @@ def cmd_verify(ctx, property, image_path, set_spec, s, m, n, out):
 def cmd_search_minimal(ctx, image_path, set_spec):
     """Greedily shrink a freezing seed set to a minimal freezing set."""
     nc = _load_complex(image_path)
-    seed_set = _resolve_set(nc, set_spec) if set_spec else None
+    seed_set = None if set_spec is None else _resolve_set(nc, set_spec)
     try:
         result = search_minimal_freezing(nc.image, seed_set, ctx.obj["budget"])
     except (ValueError, DisconnectedImageError) as exc:

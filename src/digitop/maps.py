@@ -120,8 +120,8 @@ def random_continuous_map(
         rng.shuffle(values)
         return iter(values)
 
-    search = _SelfMapSearch(image, domains, None, DEFAULT_BUDGET, shuffled)
-    return Mapping(image, image, next(search.leaves()))
+    search = _SelfMapSearch(image, DEFAULT_BUDGET, shuffled)
+    return Mapping(image, image, next(search.leaves(domains)))
 
 
 def check_pulling(f: Mapping) -> bool:

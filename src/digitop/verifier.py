@@ -26,9 +26,11 @@ the arc-consistency fixpoint already implies both:
   pulling      if x is pinned to v with v_i > x_i > y_i for a neighbour y,
                every point of N*(v) has coordinate i >= v_i - 1 >= x_i > y_i.
 
-Exceeding the node or wall-clock budget yields the distinguished verdict
-"unknown", never a guess.  The clock is read at every node and at every new
-neighbourhood union, so root propagation keeps the budget too.
+Each query runs all its searches through one `_SelfMapSearch`, so a
+minimality check spends one budget on S and every S - {a}.  Exceeding it
+yields the verdict "unknown", never a guess.  The clock starts once the
+balls are built and is read at every node and at every new neighbourhood
+union, so root propagation keeps the budget too.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ FAILS = "fails"
 UNKNOWN = "unknown"
 
 FOUND = "found"
-NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -78,17 +79,10 @@ DEFAULT_BUDGET = SearchBudget()
 class _BudgetExceeded(TimeoutError):
     """Out of nodes or time: deciders answer unknown, other callers raise."""
 
+    deleting: Optional[int] = None  # the member whose deletion ran out, if any
+
     def __init__(self) -> None:
         super().__init__("search exhausted its budget")
-
-
-@dataclass
-class SearchResult:
-    status: str  # found | none | unknown
-    witness: Optional[Mapping]
-    nodes: int
-    elapsed_ms: float
-    stats: Dict[str, int]
 
 
 @dataclass
@@ -119,24 +113,27 @@ class MinimalSearchResult:
 
 
 class _SelfMapSearch:
-    """Complete DFS over continuous self-maps with bitset domains."""
+    """One query's complete DFS over continuous self-maps with bitset
+    domains: its searches share one deadline, node count, stats and memo.  A
+    limiting query sets `reach` and `escape`: each member x must map into
+    reach[x], and some vertex v into escape[v]."""
 
     def __init__(
         self,
         image: DigitalImage,
-        domains: Sequence[int],
-        escape: Optional[Sequence[int]],
         budget: SearchBudget,
         values: Callable[[int], Iterator[int]] = bits,
+        reach: Sequence[int] = (),
+        escape: Optional[Sequence[int]] = None,
     ) -> None:
-        self._t0 = time.monotonic()
-        self._deadline = self._t0 + budget.max_millis / 1000
+        self.t0 = time.monotonic()
+        self._deadline = self.t0 + budget.max_millis / 1000
         self.img = image
         self.n = image.n
-        self.domains0 = list(domains)
-        self.escape = list(escape) if escape is not None else None
         self.budget = budget
         self.values = values
+        self.reach = reach
+        self.escape = escape
         self.nodes = 0
         # The benchmark reports one figure per key, so the key set is fixed.
         # unique_path_forced and pulling_filtered are always 0: arc
@@ -148,16 +145,6 @@ class _SelfMapSearch:
             "wipeouts": 0,
         }
         self._union_memo: Dict[int, int] = {}
-        # Branching order: ring by ring from the constrained vertices (from
-        # vertex 0 if none is), then any vertex the rings do not reach.
-        full = (1 << self.n) - 1
-        anchors = sum(1 << x for x, dx in enumerate(self.domains0) if dx != full)
-        reached = 0
-        self._order: List[int] = []
-        for ring in image.rings(anchors or (1 if self.n else 0)):
-            reached |= ring
-            self._order += bits(ring)
-        self._order += bits(full & ~reached)
 
     # -- propagation -------------------------------------------------------
 
@@ -199,34 +186,47 @@ class _SelfMapSearch:
     # -- search ------------------------------------------------------------
 
     def _tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes or time.monotonic() > self._deadline:
+        """Count one more node, if it fits under the node cap in time."""
+        if self.nodes >= self.budget.max_nodes or time.monotonic() > self._deadline:
             raise _BudgetExceeded
+        self.nodes += 1
 
-    def _pick(self, dom: List[int], start: int) -> int:
+    def _order(self, domains: Sequence[int]) -> List[int]:
+        """Branching order: ring by ring from the constrained vertices (from
+        vertex 0 if none is), then any vertex the rings do not reach."""
+        full = (1 << self.n) - 1
+        anchors = sum(1 << x for x, dx in enumerate(domains) if dx != full)
+        reached = 0
+        order: List[int] = []
+        for ring in self.img.rings(anchors or (1 if self.n else 0)):
+            reached |= ring
+            order += bits(ring)
+        return order + list(bits(full & ~reached))
+
+    def _pick(self, dom: List[int], order: List[int], start: int) -> int:
         """The first position from `start` whose domain is not a singleton."""
-        order = self._order
         for i in range(start, len(order)):
             dx = dom[order[i]]
             if dx & (dx - 1):
                 return i
         return len(order)
 
-    def leaves(self) -> Iterator[Tuple[int, ...]]:
-        """Every viable leaf, depth first, children in `values` order; raises
-        _BudgetExceeded when the budget runs out.  A stack entry is (parent
-        domains, branching position, values left).  Domains only shrink along
-        a path, so a child resumes the branching scan after that position."""
-        dom = list(self.domains0)
+    def leaves(self, domains: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+        """Every viable leaf within `domains`, depth first, children in
+        `values` order; raises _BudgetExceeded when the budget runs out.  A
+        stack entry is (parent domains, branching position, values left).
+        Domains only shrink along a path, so a child resumes the branching
+        scan after that position."""
+        order = self._order(domains)
+        dom = list(domains)
         if not self._propagate(dom, list(range(self.n))):
             return
-        order = self._order
         stack: List[Tuple[List[int], int, Iterator[int]]] = []
         start = 0
         while True:
             self._tick()
             if self._viable(dom):
-                i = self._pick(dom, start)
+                i = self._pick(dom, order, start)
                 if i < len(order):
                     stack.append((dom, i, self.values(dom[order[i]])))
                 else:
@@ -246,19 +246,24 @@ class _SelfMapSearch:
                     start = i + 1
                     break
 
-    def run(self) -> SearchResult:
-        """The first leaf, which escapes: a leaf that does not is not viable."""
-        status = NONE
-        witness = None
-        try:
-            leaf = next(self.leaves(), None)
-            if leaf is not None:
-                status = FOUND
-                witness = Mapping(self.img, self.img, leaf)
-        except _BudgetExceeded:
-            status = UNKNOWN
-        elapsed = (time.monotonic() - self._t0) * 1000
-        return SearchResult(status, witness, self.nodes, elapsed, dict(self.stats))
+    def counterexample(self, members: List[int]) -> Optional[Mapping]:
+        """A continuous self-map sending each member x into reach[x] and some
+        vertex v into escape[v], or None; raises _BudgetExceeded.  It is the
+        first leaf: a leaf that does not escape is not viable."""
+        domains = [(1 << self.n) - 1] * self.n
+        for x in members:
+            domains[x] = self.reach[x]
+        leaf = next(self.leaves(domains), None)
+        if leaf is None:
+            return None
+        w = Mapping(self.img, self.img, leaf)
+        if (
+            not is_continuous(w)
+            or any(not (1 << leaf[x]) & self.reach[x] for x in members)
+            or not any((1 << v) & ev for v, ev in zip(leaf, self.escape))
+        ):  # pragma: no cover - internal soundness guard
+            raise RuntimeError("search produced an invalid limiting witness")
+        return w
 
 
 # -- the (m,n)-limiting decider -----------------------------------------------
@@ -295,57 +300,77 @@ def _require_connected(image: DigitalImage) -> None:
 
 
 def _limiting_search(
+    image: DigitalImage, m: int, n: int, budget: SearchBudget
+) -> _SelfMapSearch:
+    """The search of one (m,n)-limiting query: members move at most m, and
+    some vertex must move more than n.  The balls are built first, so the
+    query's clock starts after them."""
+    _require_connected(image)
+    m_balls = _balls(image, m)
+    n_balls = m_balls if n == m else _balls(image, n)
+    full = (1 << image.n) - 1
+    escape = [full & ~ball for ball in n_balls]
+    return _SelfMapSearch(image, budget, reach=m_balls, escape=escape)
+
+
+def _removable(search: _SelfMapSearch, members: List[int]) -> Iterator[int]:
+    """The members, in id order, whose deletion from the members kept so far
+    leaves a freezing set; a member yielded is no longer kept.  A member kept
+    because its deletion is not freezing stays unremovable once more go: a
+    subset of a non-freezing set is not freezing.  When the budget runs out,
+    the exception names the member whose deletion was being decided."""
+    kept = list(members)
+    for a in members:
+        rest = [x for x in kept if x != a]
+        try:
+            freezing = search.counterexample(rest) is None
+        except _BudgetExceeded as exc:
+            exc.deleting = a
+            raise
+        if freezing:
+            kept = rest
+            yield a
+
+
+def _decide(
     image: DigitalImage,
-    members: List[int],
+    prop: str,
+    params: Dict[str, int],
+    subset: Iterable[int],
     m: int,
     n: int,
     budget: SearchBudget,
-) -> SearchResult:
-    """Search for a continuous self-map that moves each of the (checked)
-    members by at most m and some vertex by more than n."""
-    _require_connected(image)
-    full = (1 << image.n) - 1
-    m_balls = _balls(image, m)
-    n_balls = m_balls if n == m else _balls(image, n)
-    domains = [full] * image.n
-    for x in members:
-        domains[x] = m_balls[x]
-    escape = [full & ~ball for ball in n_balls]
-    result = _SelfMapSearch(image, domains, escape, budget).run()
-    w = result.witness
-    if result.status == FOUND and (
-        not is_continuous(w)
-        or any(not (1 << w.assignment[x]) & m_balls[x] for x in members)
-        or all((1 << v) & ball for v, ball in zip(w.assignment, n_balls))
-    ):  # pragma: no cover - internal soundness guard
-        raise RuntimeError(f"search produced an invalid ({m},{n})-limiting witness")
-    return result
-
-
-_VERDICT = {FOUND: FAILS, NONE: HOLDS, UNKNOWN: UNKNOWN}
-
-
-def _report(
-    prop: str,
-    params: Dict[str, int],
-    members: Iterable[int],
-    result: SearchResult,
-    budget: SearchBudget,
-    verdict: Optional[str] = None,
-    detail: Optional[str] = None,
 ) -> VerificationReport:
-    """The report of `result`, whose status gives the verdict unless one is
-    passed."""
+    """The one query path: an (m,n)-limiting search for subset, and for a
+    minimal_freezing query of a freezing subset the first removable member.
+    The report reads its counters from the query's one search."""
+    members = _check_subset(image, subset)
+    search = _limiting_search(image, m, n, budget)
+    witness = detail = None
+    try:
+        witness = search.counterexample(members)
+        verdict = HOLDS if witness is None else FAILS
+        if prop == "minimal_freezing" and witness is not None:
+            detail = "not a freezing set"
+        elif prop == "minimal_freezing":
+            for a in _removable(search, members):
+                verdict = FAILS
+                detail = f"vertex {a} is removable: the set stays freezing without it"
+                break
+    except _BudgetExceeded as exc:
+        verdict = UNKNOWN
+        if exc.deleting is not None:
+            detail = f"sub-query for deletion of {exc.deleting} exhausted the budget"
     return VerificationReport(
         property=prop,
-        params=dict(params),
+        params=params,
         subset=frozenset(members),
-        verdict=verdict or _VERDICT[result.status],
-        witness=result.witness,
+        verdict=verdict,
+        witness=witness,
         detail=detail,
-        nodes_expanded=result.nodes,
-        elapsed_ms=result.elapsed_ms,
-        pruning_stats=result.stats,
+        nodes_expanded=search.nodes,
+        elapsed_ms=(time.monotonic() - search.t0) * 1000,
+        pruning_stats=dict(search.stats),
         budget=budget,
     )
 
@@ -357,9 +382,7 @@ def is_freezing(
 ) -> VerificationReport:
     """Holds iff the identity is the only continuous self-map fixing subset,
     that is, iff subset is (0,0)-limiting."""
-    members = _check_subset(image, subset)
-    result = _limiting_search(image, members, 0, 0, budget)
-    return _report("freezing", {}, members, result, budget)
+    return _decide(image, "freezing", {}, subset, 0, 0, budget)
 
 
 def is_s_cold(
@@ -372,9 +395,7 @@ def is_s_cold(
     that is, iff subset is (0,s)-limiting."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    members = _check_subset(image, subset)
-    result = _limiting_search(image, members, 0, s, budget)
-    return _report("s_cold", {"s": s}, members, result, budget)
+    return _decide(image, "s_cold", {"s": s}, subset, 0, s, budget)
 
 
 def is_limiting(
@@ -387,9 +408,7 @@ def is_limiting(
     """Holds iff every continuous m-map on subset is an n-map on all of X."""
     if m < 0 or n < 0:
         raise ValueError("m and n must be nonnegative")
-    members = _check_subset(image, subset)
-    result = _limiting_search(image, members, m, n, budget)
-    return _report("limiting", {"m": m, "n": n}, members, result, budget)
+    return _decide(image, "limiting", {"m": m, "n": n}, subset, m, n, budget)
 
 
 def is_minimal_freezing(
@@ -403,27 +422,10 @@ def is_minimal_freezing(
     freezing proper subset extends to some one-vertex deletion.  A failing
     verdict carries either a non-identity witness (subset is not freezing) or
     the removable vertex in `detail` (subset is freezing but not minimal).
-    The report counts the nodes, time and stats of every search it ran.
+    All the searches run through one search object, so they spend one budget
+    and the report counts their nodes, time and stats once.
     """
-    prop = "minimal_freezing"
-    members = _check_subset(image, subset)
-    total = _limiting_search(image, members, 0, 0, budget)
-    if total.status != NONE:
-        detail = "not a freezing set" if total.status == FOUND else None
-        return _report(prop, {}, members, total, budget, detail=detail)
-    for a in members:
-        sub = _limiting_search(image, [x for x in members if x != a], 0, 0, budget)
-        total.nodes += sub.nodes
-        total.elapsed_ms += sub.elapsed_ms
-        for k, v in sub.stats.items():
-            total.stats[k] += v
-        if sub.status == UNKNOWN:
-            detail = f"sub-query for deletion of {a} exhausted the budget"
-            return _report(prop, {}, members, total, budget, UNKNOWN, detail)
-        if sub.status == NONE:
-            detail = f"vertex {a} is removable: the set stays freezing without it"
-            return _report(prop, {}, members, total, budget, FAILS, detail)
-    return _report(prop, {}, members, total, budget)
+    return _decide(image, "minimal_freezing", {}, subset, 0, 0, budget)
 
 
 def search_minimal_freezing(
@@ -435,30 +437,23 @@ def search_minimal_freezing(
 
     The seed defaults to Bd(X) for coordinate-backed images, else all of X.
     One pass in id order removes each vertex whose deletion leaves a freezing
-    set.  A vertex b kept because S - {b} is not freezing stays unremovable
-    once more vertices go: a subset of a non-freezing set is not freezing.
-    So the result admits no single deletion, hence is minimal, and it is the
-    set that restarting the scan from the lowest id after every removal finds.
+    set (see `_removable`), so the result admits no single deletion, hence is
+    minimal, and it is the set that restarting the scan from the lowest id
+    after every removal finds.  All the searches spend one budget.
     """
     _require_connected(image)
     if seed_set is None and image.is_coordinate_backed:
         boundary = c1_boundary(image.coords, image.dimension)
         seed_set = [image.vertex_at(p) for p in boundary]
-    current = _check_subset(image, range(image.n) if seed_set is None else seed_set)
-    check = _limiting_search(image, current, 0, 0, budget)
-    nodes = check.nodes
-    if check.status == UNKNOWN:
-        return MinimalSearchResult(UNKNOWN, None, nodes)
-    if check.status == FOUND:
-        raise ValueError("seed set is not a freezing set")
-    for a in list(current):
-        sub = _limiting_search(image, [x for x in current if x != a], 0, 0, budget)
-        nodes += sub.nodes
-        if sub.status == UNKNOWN:
-            return MinimalSearchResult(UNKNOWN, None, nodes)
-        if sub.status == NONE:
-            current.remove(a)
-    return MinimalSearchResult(FOUND, frozenset(current), nodes)
+    members = _check_subset(image, range(image.n) if seed_set is None else seed_set)
+    search = _limiting_search(image, 0, 0, budget)
+    try:
+        if search.counterexample(members) is not None:
+            raise ValueError("seed set is not a freezing set")
+        removed = set(_removable(search, members))
+    except _BudgetExceeded:
+        return MinimalSearchResult(UNKNOWN, None, search.nodes)
+    return MinimalSearchResult(FOUND, frozenset(members) - removed, search.nodes)
 
 
 def enumerate_continuous_self_maps(
@@ -483,6 +478,6 @@ def enumerate_continuous_self_maps(
     domains = [full] * image.n
     for x in members:
         domains[x] = 1 << x
-    leaves = _SelfMapSearch(image, domains, None, budget).leaves()
+    leaves = _SelfMapSearch(image, budget).leaves(domains)
     count = sum(1 for _ in islice(leaves, cap + 1))
     return MapCount(count=count, exact=count <= cap)

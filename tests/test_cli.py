@@ -289,6 +289,13 @@ def test_set_spec_edge_cases(runner, tmp_path):
     for complements, exit_code in ((2000, 0), (2001, 1)):
         spec = "all-minus-" * complements + "corners"
         assert runner.invoke(main, ["--quiet", *query, spec]).exit_code == exit_code
+    # An empty term is not read as a path: the error quotes the whole spec.
+    for spec in ("corners+", "+corners", "all-minus-", "corners++Bd", ""):
+        result = runner.invoke(main, [*query, spec])
+        _assert_usage_error(result)
+        assert f"set spec {spec!r} has an empty term" in result.output
+    empty_seed = runner.invoke(main, ["search-minimal", "--image", str(b), "--set", ""])
+    _assert_usage_error(empty_seed)
 
 
 def test_verify_rejects_negative_bounds(runner, tmp_path):
@@ -328,6 +335,23 @@ def test_search_minimal(runner, tmp_path):
         main, ["search-minimal", "--image", str(b1), "--set", "corners"]
     )
     assert set(json.loads(seeded.output)) == set(nc.named_sets["corners"])
+
+
+def test_minimality_commands_keep_the_budget(runner, tmp_path):
+    # Unbudgeted, `verify minimal` on Q_4 takes about 0.3 s and the search on
+    # P_4 expands 129 nodes; both answer unknown within one budget.
+    q4 = build(runner, tmp_path, "q4", "solid-pyramid", "--n", "4")
+    verified = runner.invoke(main, [
+        "--budget-ms", "50", "--quiet", "verify", "minimal", "--image", str(q4),
+        "--set", "U+W_4",
+    ])
+    assert verified.exit_code == 3, verified.output
+    p4 = build(runner, tmp_path, "p4", "pyramid", "--n", "4")
+    searched = runner.invoke(
+        main, ["--budget-nodes", "20", "search-minimal", "--image", str(p4)]
+    )
+    assert searched.exit_code == 3, searched.output
+    assert searched.output.startswith("unknown")
 
 
 def test_search_minimal_on_an_empty_lattice_image(runner, tmp_path):

@@ -341,3 +341,56 @@ def test_time_budget_is_kept_in_root_propagation_and_search():
         elapsed_ms = (time.monotonic() - t0) * 1000
         assert report.verdict == UNKNOWN
         assert elapsed_ms <= budget.max_millis + slack_ms
+
+
+def test_node_cap_counts_only_expanded_nodes():
+    # The refutation of {0,1} on C_400 expands 399 nodes, one per vertex.
+    c = simple_closed_curve(400).image
+    assert is_freezing(c, [0, 1]).nodes_expanded == 399
+    for cap, verdict in ((50, UNKNOWN), (398, UNKNOWN), (399, FAILS)):
+        report = is_freezing(c, [0, 1], SearchBudget(max_nodes=cap))
+        assert report.verdict == verdict
+        assert report.nodes_expanded == min(cap, 399)
+
+
+def test_minimality_queries_spend_one_time_budget():
+    # Unbudgeted, the minimality check takes about 0.3 s and the search 5 s.
+    budget = SearchBudget(max_millis=50)
+    slack_ms = 250
+    q4 = solid_pyramid(4)
+    t0 = time.monotonic()
+    report = is_minimal_freezing(q4.image, q4.named_sets["U"] | q4.named_sets["W_4"], budget)
+    assert report.verdict == UNKNOWN
+    assert (time.monotonic() - t0) * 1000 <= budget.max_millis + slack_ms
+    q6 = solid_pyramid(6).image
+    t0 = time.monotonic()
+    assert search_minimal_freezing(q6, None, budget).status == UNKNOWN
+    assert (time.monotonic() - t0) * 1000 <= budget.max_millis + slack_ms
+
+
+def test_minimality_queries_spend_one_node_budget():
+    p2 = pyramid(2)
+    report = is_minimal_freezing(p2.image, p2.named_sets["T_2"], SearchBudget(max_nodes=3))
+    assert report.verdict == UNKNOWN
+    assert report.nodes_expanded <= 3
+    assert report.detail.startswith("sub-query for deletion of")
+    starved = search_minimal_freezing(pyramid(4).image, None, SearchBudget(max_nodes=20))
+    assert starved.status == UNKNOWN
+    assert starved.members is None
+    assert starved.nodes <= 20
+
+
+def test_minimal_report_counts_each_search_once():
+    # A minimal set's report covers the search for S and one for each S - {a}.
+    p2, q2 = pyramid(2), solid_pyramid(2)
+    for nc, members in (
+        (p2, p2.named_sets["T_2"]),
+        (q2, q2.named_sets["U"] | q2.named_sets["W_2"]),
+    ):
+        report = is_minimal_freezing(nc.image, members)
+        assert report.verdict == HOLDS
+        parts = [is_freezing(nc.image, members)]
+        parts += [is_freezing(nc.image, members - {a}) for a in sorted(members)]
+        assert report.nodes_expanded == sum(r.nodes_expanded for r in parts)
+        for key, value in report.pruning_stats.items():
+            assert value == sum(r.pruning_stats[key] for r in parts)

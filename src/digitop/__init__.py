@@ -2,7 +2,7 @@
 constructions, continuous self-maps, and an exhaustive freezing-set verifier."""
 
 from .graph import DigitalImage, DisconnectedImageError, UnknownVertexError
-from .lattice import CuSpec, DimensionMismatchError, c1_boundary, cu_adjacent
+from .lattice import DimensionMismatchError, c1_boundary, cu_adjacent
 from .constructions import (
     NamedComplex,
     bipyramid,
@@ -53,7 +53,6 @@ __all__ = [
     "DigitalImage",
     "DisconnectedImageError",
     "UnknownVertexError",
-    "CuSpec",
     "DimensionMismatchError",
     "c1_boundary",
     "cu_adjacent",

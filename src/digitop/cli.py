@@ -19,7 +19,7 @@ from .serialization import (
     report_to_document,
     to_dot,
 )
-from .suite import run_suite
+from .suite import ROWS, run_suite
 from .verifier import (
     FAILS,
     HOLDS,
@@ -303,7 +303,14 @@ def cmd_export(ctx, image_path, fmt, out):
 @click.pass_context
 def cmd_paper_suite(ctx, scale, rows):
     """Run every theorem-instance check and print a pass/fail table."""
-    only = [int(tok) for tok in rows.split(",")] if rows else None
+    valid = {str(number): number for number, _, _ in ROWS}
+    terms = [] if rows is None else [term.strip() for term in rows.split(",")]
+    for term in terms:
+        if term not in valid:
+            raise click.UsageError(
+                f"--rows term {term!r} is not a suite row; valid rows are 1-{len(ROWS)}"
+            )
+    only = None if rows is None else [valid[term] for term in terms]
     results = run_suite(
         scale=int(scale), budget=ctx.obj["budget"], seed=ctx.obj["seed"], only=only
     )

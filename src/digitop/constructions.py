@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, List, Sequence
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence
 
 from .graph import DigitalImage
 from .lattice import Point, c1_boundary
@@ -61,8 +61,6 @@ def box(extents: Sequence[int], u: int) -> NamedComplex:
     if not extents or any(m < 1 for m in extents):
         raise ValueError("extents must be positive integers")
     d = len(extents)
-    if not 1 <= u <= d:
-        raise ValueError(f"require 1 <= u <= {d}, got u={u}")
     points = list(product(*[range(m + 1) for m in extents]))
     image = DigitalImage.from_points(points, u=u)
     corners = _ids(image, product(*[(0, m) for m in extents]))
@@ -138,7 +136,7 @@ def _solid_level(i: int, z: int) -> List[Point]:
 
 
 def _pyramid_named(image: DigitalImage, n: int) -> Dict[str, FrozenSet[int]]:
-    """Named subsets shared by the pyramid family (upper half only)."""
+    """Named subsets of a pyramid: apex, levels, lateral and base edges, faces."""
     named: Dict[str, FrozenSet[int]] = {}
     named["U"] = _ids(image, [(0, 0, n)])
     for i in range(n + 1):
@@ -170,77 +168,60 @@ def _pyramid_named(image: DigitalImage, n: int) -> Dict[str, FrozenSet[int]]:
     return named
 
 
-def pyramid(n: int) -> NamedComplex:
-    """The hollow pyramid: union of square rings T_i at heights n-i, c_3."""
-    if n < 1:
-        raise ValueError("pyramid requires n >= 1")
-    points: List[Point] = []
-    for i in range(n + 1):
-        points.extend(_shell_level(i, n - i))
-    image = DigitalImage.from_points(sorted(points), u=3)
-    named = _pyramid_named(image, n)
-    named["Bd"] = _boundary_set(image, 3)
-    return NamedComplex(image, named)
-
-
-def solid_pyramid(n: int) -> NamedComplex:
-    """The solid pyramid: union of filled squares W_i at heights n-i, c_3."""
-    if n < 1:
-        raise ValueError("solid pyramid requires n >= 1")
-    points: List[Point] = []
-    for i in range(n + 1):
-        points.extend(_solid_level(i, n - i))
-    image = DigitalImage.from_points(sorted(points), u=3)
-    named = _pyramid_named(image, n)
-    for i in range(n + 1):
-        named[f"W_{i}"] = _ids(image, _solid_level(i, n - i))
-    named["Bd"] = _boundary_set(image, 3)
-    return NamedComplex(image, named)
-
-
 def _mirrored(points: Iterable[Point]) -> List[Point]:
     return [(a, b, -c) for (a, b, c) in points]
 
 
-def bipyramid(n: int) -> NamedComplex:
-    """Two hollow pyramids glued along the base ring T_n, with poles U, L."""
-    if n < 1:
-        raise ValueError("bipyramid requires n >= 1")
-    upper: List[Point] = []
-    for i in range(n + 1):
-        upper.extend(_shell_level(i, n - i))
-    points = sorted(set(upper) | set(_mirrored(upper)))
-    image = DigitalImage.from_points(points, u=3)
-    named = {
+def _bipyramid_named(
+    image: DigitalImage, n: int, upper: List[Point]
+) -> Dict[str, FrozenSet[int]]:
+    """Named subsets of a bipyramid: poles, equator ring and both halves."""
+    return {
         "U": _ids(image, [(0, 0, n)]),
         "L": _ids(image, [(0, 0, -n)]),
         f"T_{n}": _ids(image, _shell_level(n, 0)),
         "upper": _ids(image, upper),
         "lower": _ids(image, _mirrored(upper)),
-        "Bd": _boundary_set(image, 3),
     }
+
+
+def _pyramid_family(
+    name: str, n: int, level: Callable[[int, int], List[Point]], mirror: bool
+) -> NamedComplex:
+    """The levels level(i, n-i), i = 0..n, under c_3, glued to their mirror
+    image through z = 0 for a bipyramid.  Solid levels are also named W_i
+    (only the base square W_n on a bipyramid)."""
+    if n < 1:
+        raise ValueError(f"{name} requires n >= 1")
+    upper = [p for i in range(n + 1) for p in level(i, n - i)]
+    points = sorted(set(upper).union(_mirrored(upper)) if mirror else upper)
+    image = DigitalImage.from_points(points, u=3)
+    named = _bipyramid_named(image, n, upper) if mirror else _pyramid_named(image, n)
+    if level is _solid_level:
+        for i in range(n if mirror else 0, n + 1):
+            named[f"W_{i}"] = _ids(image, _solid_level(i, n - i))
+    named["Bd"] = _boundary_set(image, 3)
     return NamedComplex(image, named)
+
+
+def pyramid(n: int) -> NamedComplex:
+    """The hollow pyramid: union of square rings T_i at heights n-i, c_3."""
+    return _pyramid_family("pyramid", n, _shell_level, mirror=False)
+
+
+def solid_pyramid(n: int) -> NamedComplex:
+    """The solid pyramid: union of filled squares W_i at heights n-i, c_3."""
+    return _pyramid_family("solid pyramid", n, _solid_level, mirror=False)
+
+
+def bipyramid(n: int) -> NamedComplex:
+    """Two hollow pyramids glued along the base ring T_n, with poles U, L."""
+    return _pyramid_family("bipyramid", n, _shell_level, mirror=True)
 
 
 def solid_bipyramid(n: int) -> NamedComplex:
     """Two solid pyramids glued along the base square W_n, with poles U, L."""
-    if n < 1:
-        raise ValueError("solid bipyramid requires n >= 1")
-    upper: List[Point] = []
-    for i in range(n + 1):
-        upper.extend(_solid_level(i, n - i))
-    points = sorted(set(upper) | set(_mirrored(upper)))
-    image = DigitalImage.from_points(points, u=3)
-    named = {
-        "U": _ids(image, [(0, 0, n)]),
-        "L": _ids(image, [(0, 0, -n)]),
-        f"T_{n}": _ids(image, _shell_level(n, 0)),
-        f"W_{n}": _ids(image, _solid_level(n, 0)),
-        "upper": _ids(image, upper),
-        "lower": _ids(image, _mirrored(upper)),
-        "Bd": _boundary_set(image, 3),
-    }
-    return NamedComplex(image, named)
+    return _pyramid_family("solid bipyramid", n, _solid_level, mirror=True)
 
 
 def satisfies_not_small(image: DigitalImage) -> bool:

@@ -12,6 +12,7 @@ diameter and domination read them.  There is no distance matrix.
 from __future__ import annotations
 
 import math
+import operator
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .lattice import Point, check_point
@@ -151,7 +152,7 @@ class DigitalImage:
         return self.u is not None and all(p is not None for p in self.coords)
 
     def vertex_at(self, point: Sequence[int]) -> int:
-        pt = tuple(int(c) for c in point)
+        pt = tuple(map(operator.index, point))
         if pt not in self._point_index:
             raise UnknownVertexError(f"no vertex at point {pt!r}")
         return self._point_index[pt]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from typing import Iterable, Iterator, Sequence, Set, Tuple
 
 Point = Tuple[int, ...]
@@ -18,7 +18,7 @@ class DimensionMismatchError(ValueError):
 
 def check_point(p: Sequence[int], d: int | None = None) -> Point:
     """Validate and normalize a lattice point to a tuple of ints."""
-    pt = tuple(int(c) for c in p)
+    pt = tuple(map(operator.index, p))
     if d is not None and len(pt) != d:
         raise DimensionMismatchError(f"expected dimension {d}, got point {pt!r}")
     if any(abs(c) > MAX_COORD for c in pt):
@@ -26,28 +26,11 @@ def check_point(p: Sequence[int], d: int | None = None) -> Point:
     return pt
 
 
-@dataclass(frozen=True)
-class CuSpec:
-    """The c_u adjacency relation on Z^d (1 <= u <= d)."""
-
-    u: int
-    d: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.u <= self.d:
-            raise ValueError(f"require 1 <= u <= d, got u={self.u}, d={self.d}")
-
-
-def cu_adjacent(p: Sequence[int], q: Sequence[int], u: int | CuSpec) -> bool:
+def cu_adjacent(p: Sequence[int], q: Sequence[int], u: int) -> bool:
     """True iff p != q, every coordinate differs by 0 or 1, and the number of
     coordinates differing by 1 is between 1 and u."""
-    if isinstance(u, CuSpec):
-        d: int | None = u.d
-        u = u.u
-    else:
-        d = None
-    pt = check_point(p, d)
-    qt = check_point(q, d)
+    pt = check_point(p)
+    qt = check_point(q)
     if len(pt) != len(qt):
         raise DimensionMismatchError(f"points {pt!r} and {qt!r} differ in dimension")
     if not 1 <= u <= len(pt):

@@ -12,6 +12,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import permutations, product
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import constructions as build
@@ -29,6 +30,7 @@ from .verifier import (
     HOLDS,
     UNKNOWN,
     SearchBudget,
+    VerificationReport,
     enumerate_continuous_self_maps,
     is_freezing,
     is_limiting,
@@ -50,16 +52,15 @@ class SuiteRow:
 
 
 class _Checks:
-    """Accumulates expectations; any False fails the row, any None is unknown."""
+    """Accumulates expectations; any False fails the row, and any verdict
+    left unknown makes it unknown."""
 
     def __init__(self) -> None:
         self.failures: List[str] = []
         self.unknowns: List[str] = []
 
-    def expect(self, ok: Optional[bool], label: str) -> None:
-        if ok is None:
-            self.unknowns.append(label)
-        elif not ok:
+    def expect(self, ok: bool, label: str) -> None:
+        if not ok:
             self.failures.append(label)
 
     def expect_verdict(self, report, expected: str, label: str) -> None:
@@ -67,6 +68,18 @@ class _Checks:
             self.unknowns.append(f"{label} (budget exhausted)")
         else:
             self.expect(report.verdict == expected, label)
+
+    def expect_necessary(
+        self, image: DigitalImage, within, members, budget, name: str
+    ) -> Dict[int, VerificationReport]:
+        """Expect within minus {x} not to freeze the image, for each x of
+        members; returns each deletion's report by x."""
+        kept = list(within)
+        reports = {}
+        for x in members:
+            reports[x] = is_freezing(image, [y for y in kept if y != x], budget)
+            self.expect_verdict(reports[x], FAILS, f"{name}: vertex {x} is necessary")
+        return reports
 
     def outcome(self, ok_detail: str) -> Tuple[str, str]:
         if self.failures:
@@ -175,9 +188,9 @@ def naive_verdict(
 
 def row_cone_freezing(scale, budget, seed) -> Tuple[str, str]:
     checks = _Checks()
-    bases = [(f"cycle-{m}", _cycle(m)) for m in range(4, 9)]
-    bases.append(("box-[2,2]-c1", build.box([2, 2], 1).image))
-    for name, base in bases:
+    for name, base in _small_bases():
+        if not build.satisfies_not_small(base):
+            continue
         cx = build.cone(base)
         base_ids = sorted(cx.set_named("X_base"))
         checks.expect_verdict(
@@ -185,12 +198,7 @@ def row_cone_freezing(scale, budget, seed) -> Tuple[str, str]:
             HOLDS,
             f"{name}: base freezes the cone",
         )
-        for x in base_ids:
-            checks.expect_verdict(
-                is_freezing(cx.image, [y for y in base_ids if y != x], budget),
-                FAILS,
-                f"{name}: base minus {x} is not freezing",
-            )
+        checks.expect_necessary(cx.image, base_ids, base_ids, budget, f"{name} base")
     return checks.outcome("base is a minimal freezing set for each cone")
 
 
@@ -220,29 +228,22 @@ def row_poles_necessity(scale, budget, seed) -> Tuple[str, str]:
         sx = build.suspension(_cycle(m))
         u = min(sx.set_named("U"))
         low = min(sx.set_named("L"))
-        everything = list(range(sx.image.n))
-        no_u = is_freezing(sx.image, [x for x in everything if x != u], budget)
-        checks.expect_verdict(no_u, FAILS, f"cycle-{m}: omitting U admits a witness")
-        if no_u.witness is not None:
-            checks.expect(
-                no_u.witness.assignment[u] == low,
-                f"cycle-{m}: the witness sends U to L",
-            )
-        no_l = is_freezing(sx.image, [x for x in everything if x != low], budget)
-        checks.expect_verdict(no_l, FAILS, f"cycle-{m}: omitting L admits a witness")
-        if no_l.witness is not None:
-            checks.expect(
-                no_l.witness.assignment[low] == u,
-                f"cycle-{m}: the witness sends L to U",
-            )
+        omitted = checks.expect_necessary(
+            sx.image, range(sx.image.n), [u, low], budget, f"S cycle-{m}"
+        )
+        for pole, other in ((u, low), (low, u)):
+            witness = omitted[pole].witness
+            if witness is not None:
+                checks.expect(
+                    witness.assignment[pole] == other,
+                    f"S cycle-{m}: the witness sends pole {pole} to {other}",
+                )
     return checks.outcome("both poles belong to every freezing set of SX")
 
 
 def row_diameter(scale, budget, seed) -> Tuple[str, str]:
     checks = _Checks()
     for name, base in _small_bases():
-        if base.n > 12:
-            continue
         checks.expect(
             build.cone(base).image.diameter() <= 2, f"diam(C {name}) <= 2"
         )
@@ -287,13 +288,7 @@ def row_pyramid(scale, budget, seed) -> Tuple[str, str]:
             HOLDS,
             f"P_{n}: T_{n} is minimal freezing",
         )
-        everything = list(range(p.image.n))
-        for x in ring:
-            checks.expect_verdict(
-                is_freezing(p.image, [y for y in everything if y != x], budget),
-                FAILS,
-                f"P_{n}: vertex {x} of T_{n} is necessary",
-            )
+        checks.expect_necessary(p.image, range(p.image.n), ring, budget, f"P_{n}")
     return checks.outcome("the base ring is the only minimal freezing set")
 
 
@@ -307,13 +302,7 @@ def row_solid_pyramid(scale, budget, seed) -> Tuple[str, str]:
             HOLDS,
             f"Q_{n}: apex + base square is minimal freezing",
         )
-        everything = list(range(q.image.n))
-        for y in subset:
-            checks.expect_verdict(
-                is_freezing(q.image, [z for z in everything if z != y], budget),
-                FAILS,
-                f"Q_{n}: vertex {y} is necessary",
-            )
+        checks.expect_necessary(q.image, range(q.image.n), subset, budget, f"Q_{n}")
     return checks.outcome("apex plus base square is minimal freezing for each Q_n")
 
 
@@ -335,16 +324,11 @@ def row_solid_bipyramid(scale, budget, seed) -> Tuple[str, str]:
     for n in range(1, scale + 1):
         k = build.solid_bipyramid(n)
         subset = sorted(k.set_named("U") | k.set_named("L") | k.set_named(f"T_{n}"))
-        report = is_minimal_freezing(k.image, subset, budget)
-        if report.verdict == UNKNOWN:
-            checks.unknowns.append(
-                f"K_{n}: undecided within {budget.max_nodes} nodes / "
-                f"{budget.max_millis} ms"
-            )
-        else:
-            checks.expect_verdict(
-                report, HOLDS, f"K_{n}: poles + equator ring is minimal freezing"
-            )
+        checks.expect_verdict(
+            is_minimal_freezing(k.image, subset, budget),
+            HOLDS,
+            f"K_{n}: poles + equator ring is minimal freezing",
+        )
     return checks.outcome("poles plus the equator ring is minimal freezing for each K_n")
 
 
@@ -480,83 +464,62 @@ def _oracle_queries() -> List[Tuple[str, DigitalImage, str, List[int], Dict[str,
 def row_oracle_equivalence(scale, budget, seed) -> Tuple[str, str]:
     checks = _Checks()
     for label, image, prop, subset, params in _oracle_queries():
-        if image.n > 12:
-            continue
-        expected = naive_verdict(image, prop, subset, params)
-        got = is_limiting(image, subset, *_limits(prop, params), budget).verdict
-        if got == UNKNOWN:
-            checks.unknowns.append(f"{label} (budget exhausted)")
-        else:
-            checks.expect(got == expected, label)
+        checks.expect_verdict(
+            is_limiting(image, subset, *_limits(prop, params), budget),
+            naive_verdict(image, prop, subset, params),
+            label,
+        )
     return checks.outcome("engine verdicts match plain enumeration on every query")
 
 
-def _box_symmetries(extent: int) -> List[Callable[[int, int], Tuple[int, int]]]:
-    e = extent
-    return [
-        lambda a, b: (a, b),
-        lambda a, b: (e - a, b),
-        lambda a, b: (a, e - b),
-        lambda a, b: (e - a, e - b),
-        lambda a, b: (b, a),
-        lambda a, b: (e - b, a),
-        lambda a, b: (b, e - a),
-        lambda a, b: (e - b, e - a),
-    ]
-
-
-def _signed_symmetries() -> List[Callable[[int, int], Tuple[int, int]]]:
-    return [
-        lambda a, b: (a, b),
-        lambda a, b: (-a, b),
-        lambda a, b: (a, -b),
-        lambda a, b: (-a, -b),
-        lambda a, b: (b, a),
-        lambda a, b: (-b, a),
-        lambda a, b: (b, -a),
-        lambda a, b: (-b, -a),
-    ]
+def _lattice_symmetries(image: DigitalImage) -> List[Mapping]:
+    """The automorphisms of a lattice image among the signed coordinate
+    permutations of its bounding box: those that map the point set onto
+    itself and that `is_isomorphism` accepts."""
+    index = {p: i for i, p in enumerate(image.coords)}
+    lo, hi = zip(*[(min(c), max(c)) for c in zip(*index)])
+    d = len(lo)
+    found = []
+    for perm, flips in product(permutations(range(d)), product((False, True), repeat=d)):
+        moved = [
+            tuple(
+                hi[k] - (p[j] - lo[j]) if flip else lo[k] + (p[j] - lo[j])
+                for k, (j, flip) in enumerate(zip(perm, flips))
+            )
+            for p in image.coords
+        ]
+        if all(q in index for q in moved):
+            f = Mapping(image, image, tuple(index[q] for q in moved))
+            if is_isomorphism(f):
+                found.append(f)
+    return found
 
 
 def row_invariance(scale, budget, seed) -> Tuple[str, str]:
     checks = _Checks()
     b2 = build.box([2, 2], 1)
     corners = sorted(b2.set_named("corners"))
-    subsets = [corners, corners[1:], sorted(b2.set_named("Bd"))]
-    for idx, sym in enumerate(_box_symmetries(2)):
-        assignment = tuple(
-            b2.image.vertex_at(sym(*b2.image.coords[i])) for i in range(b2.image.n)
-        )
-        iso = Mapping(b2.image, b2.image, assignment)
-        checks.expect(is_isomorphism(iso), f"box symmetry {idx} is an isomorphism")
-        for subset in subsets:
-            before = is_freezing(b2.image, subset, budget).verdict
-            after = is_freezing(b2.image, sorted(push_forward(subset, iso)), budget).verdict
-            checks.expect(
-                before == after, f"box symmetry {idx} preserves freezing verdicts"
-            )
-        cold_before = is_s_cold(b2.image, corners, 1, budget).verdict
-        cold_after = is_s_cold(
-            b2.image, sorted(push_forward(corners, iso)), 1, budget
-        ).verdict
-        checks.expect(
-            cold_before == cold_after, f"box symmetry {idx} preserves cold verdicts"
-        )
     p2 = build.pyramid(2)
     ring = sorted(p2.set_named("T_2"))
     partial = [x for x in ring if p2.image.coords[x] != (2, 2, 0)]
-    for idx, sym in enumerate(_signed_symmetries()):
-        assignment = tuple(
-            p2.image.vertex_at(sym(a, b) + (c,)) for (a, b, c) in p2.image.coords
-        )
-        iso = Mapping(p2.image, p2.image, assignment)
-        checks.expect(is_isomorphism(iso), f"pyramid symmetry {idx} is an isomorphism")
-        for subset in (ring, partial):
-            before = is_freezing(p2.image, subset, budget).verdict
-            after = is_freezing(p2.image, sorted(push_forward(subset, iso)), budget).verdict
-            checks.expect(
-                before == after, f"pyramid symmetry {idx} preserves freezing verdicts"
-            )
+    cases = [
+        ("box", b2.image, [corners, corners[1:], sorted(b2.set_named("Bd"))], [corners]),
+        ("pyramid", p2.image, [ring, partial], []),
+    ]
+    for name, image, freezing_sets, cold_sets in cases:
+        symmetries = _lattice_symmetries(image)
+        checks.expect(len(symmetries) == 8, f"{name}: 8 symmetries found")
+        for idx, iso in enumerate(symmetries):
+            for prop, decide, subsets in (
+                ("freezing", lambda s: is_freezing(image, s, budget), freezing_sets),
+                ("cold", lambda s: is_s_cold(image, s, 1, budget), cold_sets),
+            ):
+                for subset in subsets:
+                    moved = sorted(push_forward(subset, iso))
+                    checks.expect(
+                        decide(subset).verdict == decide(moved).verdict,
+                        f"{name} symmetry {idx} preserves {prop} verdicts",
+                    )
     return checks.outcome("freezing and cold verdicts are isomorphism-invariant")
 
 

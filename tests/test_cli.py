@@ -412,6 +412,32 @@ def test_paper_suite_starvation(runner):
     assert "UNKNOWN" in result.output
 
 
+@pytest.mark.parametrize("rows, bad", [("x", "x"), ("1,,2", ""), ("99", "99")])
+def test_paper_suite_rejects_bad_rows(runner, rows, bad):
+    result = runner.invoke(main, ["paper-suite", "--scale", "1", "--rows", rows])
+    _assert_usage_error(result)
+    assert f"--rows term {bad!r} is not a suite row; valid rows are 1-13" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["build", "interval", "--a", "0"], "interval requires --a and --b"),
+        (["build", "box", "--u", "1"], "box requires --extents"),
+        (["build", "cycle"], "cycle requires --m"),
+        (["build", "cone"], "cone requires --base or --base-image"),
+        (["verify", "limiting", "--set", "corners", "--m", "1"], "limiting requires --m and --n"),
+    ],
+)
+def test_missing_options_are_usage_errors(runner, tmp_path, args, message):
+    b = build(runner, tmp_path, "b", "box", "--extents", "2,2", "--u", "1")
+    if args[0] == "verify":
+        args = args + ["--image", str(b)]
+    result = runner.invoke(main, args)
+    _assert_usage_error(result)
+    assert message in result.output
+
+
 def test_repeated_verify_does_not_keep_its_output(runner, tmp_path):
     # A benchmark runs `verify` in process thousands of times, so click's
     # stream cache must not keep each call's captured stdout (~2 KB) alive.

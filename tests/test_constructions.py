@@ -181,3 +181,23 @@ def test_named_sets_are_subsets():
     for nc in (pyramid(2), solid_pyramid(2), bipyramid(2), solid_bipyramid(2)):
         for members in nc.named_sets.values():
             assert all(0 <= v < nc.image.n for v in members)
+
+
+_FACES = {"U", "LR", "LF", "RF", "RR", "BL", "BF", "BR", "BB", "L", "F", "R", "B", "Bd"}
+_RINGS = {"T_0", "T_1", "T_2", "T_0_prime", "T_1_prime", "T_2_prime"}
+
+
+@pytest.mark.parametrize(
+    "builder, names",
+    [
+        (pyramid, _FACES | _RINGS),
+        (solid_pyramid, _FACES | _RINGS | {"W_0", "W_1", "W_2"}),
+        (bipyramid, {"U", "L", "T_2", "upper", "lower", "Bd"}),
+        (solid_bipyramid, {"U", "L", "T_2", "W_2", "upper", "lower", "Bd"}),
+    ],
+)
+def test_pyramid_family_named_sets(builder, names):
+    assert set(builder(2).named_sets) == names
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="requires n >= 1"):
+            builder(n)

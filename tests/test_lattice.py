@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from digitop.constructions import box
+from digitop.graph import DigitalImage
 from digitop.lattice import (
-    CuSpec,
     DimensionMismatchError,
     c1_boundary,
     c1_neighbors,
@@ -24,12 +25,26 @@ def test_cu_adjacent_dimension_mismatch():
         cu_adjacent((0, 0), (0, 0, 0), 1)
 
 
-def test_cu_spec_validation():
-    CuSpec(d=3, u=2)
-    with pytest.raises(ValueError):
-        CuSpec(d=2, u=3)
-    with pytest.raises(ValueError):
-        CuSpec(d=2, u=0)
+def test_cu_adjacent_rejects_u_out_of_range():
+    assert cu_adjacent((0, 0), (1, 1), 2)
+    with pytest.raises(ValueError, match="require 1 <= u <= 2, got u=0"):
+        cu_adjacent((0, 0), (0, 1), 0)
+    with pytest.raises(ValueError, match="require 1 <= u <= 2, got u=3"):
+        cu_adjacent((0, 0), (0, 1), 3)
+
+
+def test_non_integer_coordinates_raise():
+    # int() would truncate 1.7 to 1 and silently build an edge (0,)-(1,).
+    with pytest.raises(TypeError):
+        check_point((0, 1.7), 2)
+    with pytest.raises(TypeError):
+        DigitalImage.from_points([(0,), (1.7,)], 1)
+    with pytest.raises(TypeError):
+        cu_adjacent((0, 0), (0.5, 0), 1)
+    image = box([2, 2], 1).image
+    assert image.vertex_at((1, 0)) == 3
+    with pytest.raises(TypeError):
+        image.vertex_at((1.5, 0))
 
 
 def test_projection():

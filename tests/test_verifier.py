@@ -32,6 +32,7 @@ from digitop.verifier import (
     is_s_cold,
     search_minimal_freezing,
 )
+from digitop.suite import naive_verdict
 
 
 def brute_force_count(image, fixed=frozenset()):
@@ -394,3 +395,18 @@ def test_minimal_report_counts_each_search_once():
         assert report.nodes_expanded == sum(r.nodes_expanded for r in parts)
         for key, value in report.pruning_stats.items():
             assert value == sum(r.pruning_stats[key] for r in parts)
+
+
+def test_a_wipeout_refutes_a_branch():
+    # The smallest graph found where propagation empties a domain below the
+    # root: the branch is dropped and the search goes on to a witness.
+    edges = [(0, 1), (0, 3), (0, 6), (1, 2), (2, 4), (2, 6), (4, 5), (4, 6)]
+    image = DigitalImage(7, edges)
+    report = is_limiting(image, range(7), 1, 0)
+    assert report.verdict == FAILS
+    assert report.verdict == naive_verdict(image, "limiting", range(7), {"m": 1, "n": 0})
+    assert report.pruning_stats["wipeouts"] >= 1
+    assert report.nodes_expanded == 6
+    f = report.witness
+    assert is_continuous(f)
+    assert max_displacement(f) == 1

@@ -7,13 +7,24 @@ edges come from the {point: id} index, so no pair of points is tested.
 Every distance comes from one dilation, N*(mask): `rings` yields the
 vertices at distance 0, 1, 2, ... from a mask, and connectivity, distance,
 diameter and domination read them.  There is no distance matrix.
+
+Dilation takes one of two paths.  At build time the edges (a, b), a < b, are
+grouped by b - a.  Each class of more than 2 edges becomes one shift pair,
+`((mask & lo) << d) | ((mask >> d) & lo)` with `lo` its lower endpoints, so a
+box under c_u in row-major order dilates in a handful of whole-mask shifts.
+The endpoints of the other edges (a cone's apex edges, a cycle's wrap edge,
+small classes) form the residual support, and the mask's vertices in it add
+their closed neighbourhoods bit by bit.  A mask with at most two bits per
+shift pair takes the per-bit union of closed neighbourhoods over all its
+vertices instead, which is cheaper for it.  Both paths give the same set.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import DefaultDict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .lattice import Point, check_point
 
@@ -26,6 +37,14 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _bitmask(n: int, ids: Iterable[int]) -> int:
+    """The bitmask of some ids in 0..n-1, built in time linear in n."""
+    digits = bytearray(b"0") * n
+    for x in ids:
+        digits[x] = 49  # ord("1")
+    return int(digits[::-1] or b"0", 2)
 
 
 class UnknownVertexError(KeyError):
@@ -80,6 +99,7 @@ class DigitalImage:
         self._nbhd_bits: List[int] = [
             (1 << x) | sum(1 << y for y in self._adj[x]) for x in range(n)
         ]
+        self._build_shifts()
         self._connected: Optional[bool] = None
         self._point_index = {p: i for i, p in enumerate(self.coords) if p is not None}
 
@@ -128,6 +148,21 @@ class DigitalImage:
             adj[b].append(a)
         return [tuple(sorted(v)) for v in adj]
 
+    def _build_shifts(self) -> None:
+        """One shift pair per id-difference class of more than 2 edges; the
+        endpoints of every other edge form the residual support."""
+        classes: DefaultDict[int, List[int]] = defaultdict(list)
+        for a, b in self.edges:
+            classes[b - a].append(a)
+        self._shifts: List[Tuple[int, int]] = [
+            (d, _bitmask(self.n, lows)) for d, lows in classes.items() if len(lows) > 2
+        ]
+        self._per_bit_max = 2 * len(self._shifts)  # the popcount switch
+        self._residual_support = _bitmask(
+            self.n,
+            [x for d, lows in classes.items() if len(lows) <= 2 for a in lows for x in (a, a + d)],
+        )
+
     def check_vertex(self, x: int) -> int:
         if not 0 <= x < self.n:
             raise UnknownVertexError(f"vertex {x} outside 0..{self.n - 1}")
@@ -160,9 +195,18 @@ class DigitalImage:
     # -- metric ------------------------------------------------------------
 
     def dilate(self, mask: int) -> int:
-        """N*(mask): the vertices of mask together with all their neighbours."""
-        nbhd = self._nbhd_bits
+        """N*(mask): the vertices of mask together with all their neighbours.
+
+        A mask of more than two bits per shift pair is shifted along each
+        id-difference class, and only its vertices on the residual support
+        add their closed neighbourhoods; a smaller mask ORs one closed
+        neighbourhood per bit."""
         grown = mask
+        if mask.bit_count() > self._per_bit_max:
+            for d, lo in self._shifts:
+                grown |= ((mask & lo) << d) | ((mask >> d) & lo)
+            mask &= self._residual_support
+        nbhd = self._nbhd_bits
         while mask:
             low = mask & -mask
             grown |= nbhd[low.bit_length() - 1]

@@ -45,14 +45,6 @@ def cu_adjacent(p: Sequence[int], q: Sequence[int], u: int) -> bool:
     return 1 <= changed <= u
 
 
-def projection(p: Sequence[int], i: int) -> int:
-    """The i-th coordinate of p, 1-based."""
-    pt = check_point(p)
-    if not 1 <= i <= len(pt):
-        raise IndexError(f"projection index {i} out of range for dimension {len(pt)}")
-    return pt[i - 1]
-
-
 def c1_neighbors(p: Point) -> Iterator[Point]:
     """The 2d lattice points c_1-adjacent to p."""
     for i, c in enumerate(p):

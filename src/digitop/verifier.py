@@ -159,10 +159,11 @@ class _SelfMapSearch:
     def _propagate(self, dom: List[int], queue: List[int]) -> bool:
         """Arc consistency to fixpoint: dom(y) &= N*(dom(x)) along each edge.
         Every queued domain is non-empty: one is narrowed only to non-empty."""
+        adj = self.img._adj
         while queue:
             x = queue.pop()
             allowed = self._union_nbhd(dom[x])
-            for y in self.img.neighbors(x):
+            for y in adj[x]:
                 ny = dom[y] & allowed
                 if ny != dom[y]:
                     if ny == 0:

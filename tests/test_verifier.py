@@ -310,6 +310,9 @@ def test_long_witness_on_box_does_not_recurse():
 def test_a_radius_past_the_diameter_is_answered_within_the_budget():
     # Balls are built before the search clock starts; they stop growing at
     # the diameter, so a huge m, n or s costs no more than the diameter.
+    # Each query's time is the best of three runs, so one load spike on a
+    # shared host does not fail it; a radius walked past the diameter is
+    # slow in every run.
     budget = SearchBudget(max_millis=50)
     slack_ms = 250
     c8 = simple_closed_curve(8).image
@@ -321,11 +324,13 @@ def test_a_radius_past_the_diameter_is_answered_within_the_budget():
         (lambda: is_limiting(c8, [0], 10**6, 3, budget), FAILS),
         (lambda: is_s_cold(b.image, [corner], 1000, budget), HOLDS),
     ):
-        t0 = time.monotonic()
-        report = query()
-        elapsed_ms = (time.monotonic() - t0) * 1000
-        assert report.verdict == verdict
-        assert elapsed_ms <= budget.max_millis + slack_ms
+        times_ms = []
+        for _ in range(3):
+            t0 = time.monotonic()
+            report = query()
+            times_ms.append((time.monotonic() - t0) * 1000)
+            assert report.verdict == verdict
+        assert min(times_ms) <= budget.max_millis + slack_ms
 
 
 def test_time_budget_is_kept_in_root_propagation_and_search():

@@ -41,16 +41,15 @@ EXIT_UNKNOWN = 3
 @click.group()
 @click.option("--budget-nodes", default=100_000_000, show_default=True, type=int)
 @click.option("--budget-ms", default=120_000, show_default=True, type=int)
-@click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--quiet", is_flag=True, default=False)
 @click.pass_context
-def main(ctx: click.Context, budget_nodes: int, budget_ms: int, seed: int, quiet: bool):
+def main(ctx: click.Context, budget_nodes: int, budget_ms: int, quiet: bool):
     """Digital-topology constructions and freezing-set verification."""
     try:
         budget = SearchBudget(max_nodes=budget_nodes, max_millis=budget_ms)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    ctx.obj = {"budget": budget, "seed": seed, "quiet": quiet}
+    ctx.obj = {"budget": budget, "quiet": quiet}
 
 
 def _reason(exc: Exception) -> str:
@@ -311,9 +310,7 @@ def cmd_paper_suite(ctx, scale, rows):
                 f"--rows term {term!r} is not a suite row; valid rows are 1-{len(ROWS)}"
             )
     only = None if rows is None else [valid[term] for term in terms]
-    results = run_suite(
-        scale=int(scale), budget=ctx.obj["budget"], seed=ctx.obj["seed"], only=only
-    )
+    results = run_suite(scale=int(scale), budget=ctx.obj["budget"], only=only)
     width = max(len(r.title) for r in results)
     for r in results:
         click.echo(

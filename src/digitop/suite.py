@@ -1,21 +1,21 @@
 """The theorem-instance suite: one row per acceptance check, decided exactly.
 
-Each row replays a general theorem at desk scale (n = 1 or 2).  A theorem
-instance is one claim, (label, image, members, property, params, expected):
-a named set of an image is or is not freezing, s-cold, (m,n)-limiting or
-minimal freezing.  Generators yield each row's claims, and `_table_row` makes
-the row that asks them through `_ask`.  `_ask` calls the decider a property
-names, read as this module's global at call time, so a patched decider
-reaches every row that asks it.  Expected None means "whatever
-`naive_verdict` says": row 12 cross-checks the engine against that plain
-enumerator, kept independent of the bitset search.  Rows 3, 11 and 13 add
-their own checks on the reports of the claims they ask.
+Each row replays a general theorem at desk scale (n = 1 or 2).  A row is a
+generator of checks, run by `_row`.  A check is a claim or a fact.  A claim,
+(label, image, members, property, params, expected), says that a named set
+of an image is or is not freezing, s-cold, (m,n)-limiting or minimal
+freezing.  A fact, (label, ok), is one the row computes itself.  `_row` asks
+each claim through `_ask` and sends the report back into the generator, so
+a row checks a witness with `(yield claim).witness`.  `_ask` calls the
+decider a property names, read as this module's global at call time, so a
+patched decider reaches every row that asks it.  Expected None means
+"whatever `naive_verdict` says": row 12 cross-checks the engine against
+that plain enumerator, kept independent of the bitset search.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -23,14 +23,8 @@ from itertools import permutations, product
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import constructions as build
-from .graph import DigitalImage
-from .maps import (
-    Mapping,
-    is_isomorphism,
-    max_displacement,
-    push_forward,
-    random_continuous_map,
-)
+from .graph import DigitalImage, bits
+from .maps import Mapping, is_isomorphism, max_displacement, push_forward
 from .verifier import (
     DEFAULT_BUDGET,
     FAILS,
@@ -77,46 +71,39 @@ def _ask(image, members, prop, params, budget) -> VerificationReport:
     raise ValueError(f"no decider for property {prop!r}")
 
 
-class _Checks:
-    """Accumulates expectations; any False fails the row, and any verdict
-    left unknown makes it unknown."""
+def _row(checks: Callable[[int, SearchBudget], Iterator], ok_detail: str) -> Callable:
+    """The suite row that runs the generator checks(scale, budget): it sends
+    each claim's report back, and None for a fact.  A false fact or a wrong
+    verdict fails the row; else any verdict left unknown makes it unknown."""
 
-    def __init__(self) -> None:
-        self.failures: List[str] = []
-        self.unknowns: List[str] = []
-
-    def expect(self, ok: bool, label: str) -> None:
-        if not ok:
-            self.failures.append(label)
-
-    def ask(self, claim: _Claim, budget: SearchBudget) -> VerificationReport:
-        """Ask claim and expect its verdict; returns the report."""
-        label, image, members, prop, params, expected = claim
-        report = _ask(image, members, prop, params, budget)
-        if expected is None:
-            expected = naive_verdict(image, prop, members, params)
-        if report.verdict == UNKNOWN:
-            self.unknowns.append(f"{label} (budget exhausted)")
-        else:
-            self.expect(report.verdict == expected, label)
-        return report
-
-    def outcome(self, ok_detail: str) -> Tuple[str, str]:
-        if self.failures:
-            return FAIL, "; ".join(self.failures[:4])
-        if self.unknowns:
-            return UNKNOWN, "; ".join(self.unknowns[:4])
+    def row(scale: int, budget: SearchBudget) -> Tuple[str, str]:
+        failures: List[str] = []
+        unknowns: List[str] = []
+        row_checks = checks(scale, budget)
+        report = None
+        while True:
+            try:
+                check = row_checks.send(report)
+            except StopIteration:
+                break
+            if len(check) == 2:
+                label, ok = check
+                report = None
+            else:
+                label, image, members, prop, params, expected = check
+                report = _ask(image, members, prop, params, budget)
+                if expected is None:
+                    expected = naive_verdict(image, prop, members, params)
+                if report.verdict == UNKNOWN:
+                    unknowns.append(f"{label} (budget exhausted)")
+                ok = report.verdict in (expected, UNKNOWN)
+            if not ok:
+                failures.append(label)
+        if failures:
+            return FAIL, "; ".join(failures[:4])
+        if unknowns:
+            return UNKNOWN, "; ".join(unknowns[:4])
         return PASS, ok_detail
-
-
-def _table_row(claims: Callable[[int], Iterable[_Claim]], ok_detail: str) -> Callable:
-    """The suite row that asks every claim claims(scale) yields."""
-
-    def row(scale, budget, seed) -> Tuple[str, str]:
-        checks = _Checks()
-        for claim in claims(scale):
-            checks.ask(claim, budget)
-        return checks.outcome(ok_detail)
 
     return row
 
@@ -235,7 +222,7 @@ def _necessary(name: str, image: DigitalImage, within, members) -> Iterator[_Cla
         yield (f"{name}: vertex {x} is necessary", image, rest, "freezing", {}, FAILS)
 
 
-def _cone_claims(scale: int) -> Iterator[_Claim]:
+def _cone_claims(scale: int, budget: SearchBudget) -> Iterator[_Claim]:
     for name, base in _small_bases():
         if build.satisfies_not_small(base):
             cx = build.cone(base)
@@ -244,7 +231,7 @@ def _cone_claims(scale: int) -> Iterator[_Claim]:
             yield from _necessary(f"{name} base", cx.image, ids, ids)
 
 
-def _suspension_claims(scale: int) -> Iterator[_Claim]:
+def _suspension_claims(scale: int, budget: SearchBudget) -> Iterator[_Claim]:
     base = build.interval(0, 3)
     sx = build.suspension(base.image)
     poles = _named(sx, "U", "L")
@@ -255,7 +242,9 @@ def _suspension_claims(scale: int) -> Iterator[_Claim]:
     yield (label, sx.image, ends[:1] + poles, "freezing", {}, FAILS)
 
 
-def _pyramid_claims(builder, letter, sets, prop, necessity, what, scale) -> Iterator[_Claim]:
+def _pyramid_claims(
+    builder, letter, sets, prop, necessity, what, scale, budget
+) -> Iterator[_Claim]:
     """Claims on builder(n), n = 1..scale: the union of the named sets has
     prop and, if necessity, needs each member to freeze.  "{n}" in a set
     name or in what stands for n."""
@@ -267,7 +256,7 @@ def _pyramid_claims(builder, letter, sets, prop, necessity, what, scale) -> Iter
             yield from _necessary(f"{letter}_{n}", c.image, range(c.image.n), members)
 
 
-def _box_claims(scale: int) -> Iterator[_Claim]:
+def _box_claims(scale: int, budget: SearchBudget) -> Iterator[_Claim]:
     for extents, u, name, prop, label in (
         ([2, 2], 1, "corners", "freezing", "corners freeze [0,2]^2 under c_1"),
         ([2, 2, 2], 1, "corners", "freezing", "corners freeze [0,2]^3 under c_1"),
@@ -277,7 +266,7 @@ def _box_claims(scale: int) -> Iterator[_Claim]:
         yield (label, b.image, _named(b, name), prop, {}, HOLDS)
 
 
-def _oracle_claims(scale: int) -> Iterator[_Claim]:
+def _oracle_claims(scale: int, budget: SearchBudget) -> Iterator[_Claim]:
     """Queries small enough for `naive_verdict`, each expected to get its
     answer."""
     for m in range(4, 9):
@@ -324,97 +313,73 @@ _PYRAMID_ROWS = [
      "poles plus the equator ring is minimal freezing for each K_n"),
 ]
 row_pyramid, row_solid_pyramid, row_bipyramid, row_solid_bipyramid = [
-    _table_row(partial(_pyramid_claims, *entry[:-1]), entry[-1])
+    _row(partial(_pyramid_claims, *entry[:-1]), entry[-1])
     for entry in _PYRAMID_ROWS
 ]
 
 
-def row_poles_necessity(scale, budget, seed) -> Tuple[str, str]:
-    checks = _Checks()
+def _poles_checks(scale: int, budget: SearchBudget) -> Iterator:
     for m in range(4, 9):
         sx = build.suspension(_cycle(m))
         u = min(sx.set_named("U"))
         low = min(sx.set_named("L"))
         claims = _necessary(f"S cycle-{m}", sx.image, range(sx.image.n), [u, low])
         for claim, pole, other in zip(claims, (u, low), (low, u)):
-            witness = checks.ask(claim, budget).witness
+            witness = (yield claim).witness
             if witness is not None:
-                checks.expect(
-                    witness.assignment[pole] == other,
-                    f"S cycle-{m}: the witness sends pole {pole} to {other}",
-                )
-    return checks.outcome("both poles belong to every freezing set of SX")
+                label = f"S cycle-{m}: the witness sends pole {pole} to {other}"
+                yield label, witness.assignment[pole] == other
 
 
-def row_diameter(scale, budget, seed) -> Tuple[str, str]:
-    checks = _Checks()
+def _diameter_facts(scale: int, budget: SearchBudget) -> Iterator[Tuple[str, bool]]:
     for name, base in _small_bases():
-        checks.expect(
-            build.cone(base).image.diameter() <= 2, f"diam(C {name}) <= 2"
-        )
-        checks.expect(
-            build.suspension(base).image.diameter() <= 2, f"diam(S {name}) <= 2"
-        )
-    return checks.outcome("cones and suspensions have diameter at most 2")
+        yield f"diam(C {name}) <= 2", build.cone(base).image.diameter() <= 2
+        yield f"diam(S {name}) <= 2", build.suspension(base).image.diameter() <= 2
 
 
-def row_dominating_bound(scale, budget, seed) -> Tuple[str, str]:
-    checks = _Checks()
+def _dominating_claims(scale: int, budget: SearchBudget) -> Iterator[_Claim]:
+    """If f|D is an m-map for a dominating D, f is an (m+2)-map: every
+    dominating set of each image is (m, m+2)-limiting, for m = 0 and 1.  A
+    set that does not dominate need not be."""
     images = [
         ("cycle-8", _cycle(8)),
         ("box-[2,2]-c1", build.box([2, 2], 1).image),
         ("cone-cycle-6", build.cone(_cycle(6)).image),
     ]
-    rng = random.Random(seed)
     for name, image in images:
-        dominating: List[List[int]] = [list(range(image.n))]
-        while len(dominating) < 12:
-            cand = [x for x in range(image.n) if rng.random() < 0.5]
-            if cand and image.is_dominating(cand):
-                dominating.append(cand)
-        maps = [random_continuous_map(image, (), seed=seed + k) for k in range(200)]
-        for f in maps:
-            full = max_displacement(f)
-            for d_set in dominating:
-                bound = max_displacement(f, d_set) + 2
-                if full > bound:
-                    checks.expect(False, f"{name}: displacement bound violated")
-                    break
-    return checks.outcome("f is an (m+2)-map whenever f|D is an m-map on a dominating D")
+        for mask in range(1 << image.n):
+            members = list(bits(mask))
+            if image.is_dominating(members):
+                for m in (0, 1):
+                    label = f"{name}: dominating {members} is ({m},{m + 2})-limiting"
+                    yield (label, image, members, "limiting", {"m": m, "n": m + 2}, HOLDS)
+    label = "cycle-8: the non-dominating [0, 4] is not (0,2)-limiting"
+    yield (label, _cycle(8), [0, 4], "limiting", {"m": 0, "n": 2}, FAILS)
 
 
-def row_cold_limiting(scale, budget, seed) -> Tuple[str, str]:
-    checks = _Checks()
+def _cold_limiting_checks(scale: int, budget: SearchBudget) -> Iterator:
     for m in range(4, 9):
         cx = build.cone(_cycle(m))
         base = _named(cx, "X_base")
         u = min(cx.set_named("U"))
         with_u = enumerate_continuous_self_maps(cx.image, base, budget=budget)
         plus = enumerate_continuous_self_maps(cx.image, base + [u], budget=budget)
-        checks.expect(
-            with_u.exact and plus.exact and with_u.count == plus.count == 1,
-            f"cone cycle-{m}: every map fixing the base fixes the apex",
-        )
+        label = f"cone cycle-{m}: every map fixing the base fixes the apex"
+        yield label, with_u.exact and plus.exact and with_u.count == plus.count == 1
         label = f"cone cycle-{m}: the apex is redundant in (1,1)-limiting sets"
-        claim = (label, cx.image, _all_but(cx.image, u), "limiting", {"m": 1, "n": 1}, HOLDS)
-        checks.ask(claim, budget)
+        yield (label, cx.image, _all_but(cx.image, u), "limiting", {"m": 1, "n": 1}, HOLDS)
         sx = build.suspension(_cycle(m))
         su = min(sx.set_named("U"))
         sl = min(sx.set_named("L"))
         base_fixers = enumerate_continuous_self_maps(sx.image, _named(sx, "X_base"), budget=budget)
-        checks.expect(
-            base_fixers.exact and base_fixers.count == 4,
-            f"suspension cycle-{m}: base-fixing maps keep both poles on poles",
-        )
+        label = f"suspension cycle-{m}: base-fixing maps keep both poles on poles"
+        yield label, base_fixers.exact and base_fixers.count == 4
         label = f"suspension cycle-{m}: dropping U breaks (1,1)-limiting"
         claim = (label, sx.image, _all_but(sx.image, su), "limiting", {"m": 1, "n": 1}, FAILS)
-        witness = checks.ask(claim, budget).witness
+        witness = (yield claim).witness
         if witness is not None:
-            checks.expect(
-                max_displacement(witness) == 2 and witness.assignment[su] == sl,
-                f"suspension cycle-{m}: witness displaces U exactly 2 (to L)",
-            )
-    return checks.outcome("cold and limiting pole theorems hold on cycle bases")
+            label = f"suspension cycle-{m}: witness displaces U exactly 2 (to L)"
+            yield label, max_displacement(witness) == 2 and witness.assignment[su] == sl
 
 
 def _lattice_symmetries(image: DigitalImage) -> List[Mapping]:
@@ -440,57 +405,64 @@ def _lattice_symmetries(image: DigitalImage) -> List[Mapping]:
     return found
 
 
-def row_invariance(scale, budget, seed) -> Tuple[str, str]:
-    checks = _Checks()
+def _invariance_checks(scale: int, budget: SearchBudget) -> Iterator:
+    """Each set keeps its verdict when a symmetry of its image moves it."""
     b2 = build.box([2, 2], 1)
     corners = _named(b2, "corners")
     p2 = build.pyramid(2)
     ring = _named(p2, "T_2")
     ring_less = [x for x in ring if p2.image.coords[x] != (2, 2, 0)]
-    freezing = [("freezing", {}, s) for s in (corners, corners[1:], _named(b2, "Bd"))]
-    cases = [  # (image name, image, [(property, params, subset)])
-        ("box", b2.image, freezing + [("s_cold", {"s": 1}, corners)]),
-        ("pyramid", p2.image, [("freezing", {}, ring), ("freezing", {}, ring_less)]),
+    cases = [  # (image name, image, [(set name, property, params, set, verdict)])
+        ("box", b2.image, [
+            ("corners", "freezing", {}, corners, HOLDS),
+            ("corners[1:]", "freezing", {}, corners[1:], FAILS),
+            ("Bd", "freezing", {}, _named(b2, "Bd"), HOLDS),
+            ("corners", "s_cold", {"s": 1}, corners, HOLDS),
+        ]),
+        ("pyramid", p2.image, [
+            ("T_2", "freezing", {}, ring, HOLDS),
+            ("T_2 - (2,2,0)", "freezing", {}, ring_less, FAILS),
+        ]),
     ]
-    for name, image, queries in cases:
+    for name, image, sets in cases:
         symmetries = _lattice_symmetries(image)
-        checks.expect(len(symmetries) == 8, f"{name}: 8 symmetries found")
+        yield f"{name}: 8 symmetries found", len(symmetries) == 8
         for idx, iso in enumerate(symmetries):
-            for prop, params, subset in queries:
-                moved = sorted(push_forward(subset, iso))
-                verdict = _ask(image, subset, prop, params, budget).verdict
-                checks.expect(
-                    verdict == _ask(image, moved, prop, params, budget).verdict,
-                    f"{name} symmetry {idx} preserves {prop} verdicts",
-                )
-    return checks.outcome("freezing and cold verdicts are isomorphism-invariant")
+            for set_name, prop, params, members, verdict in sets:
+                label = f"{name} symmetry {idx} keeps the {prop} verdict of {set_name}"
+                moved = sorted(push_forward(members, iso))
+                yield (label, image, moved, prop, params, verdict)
 
 
 ROWS: List[Tuple[int, str, Callable]] = [
     (1, "Cone freezing: the base is a minimal freezing set",
-     _table_row(_cone_claims, "base is a minimal freezing set for each cone")),
+     _row(_cone_claims, "base is a minimal freezing set for each cone")),
     (2, "Suspension transfer of (minimal) freezing sets",
-     _table_row(_suspension_claims, "freezing transfers across the suspension")),
-    (3, "Both poles are necessary in suspension freezing sets", row_poles_necessity),
-    (4, "Cone/suspension diameter at most 2", row_diameter),
-    (5, "Dominating-set displacement bound (m -> m+2)", row_dominating_bound),
+     _row(_suspension_claims, "freezing transfers across the suspension")),
+    (3, "Both poles are necessary in suspension freezing sets",
+     _row(_poles_checks, "both poles belong to every freezing set of SX")),
+    (4, "Cone/suspension diameter at most 2",
+     _row(_diameter_facts, "cones and suspensions have diameter at most 2")),
+    (5, "Dominating-set displacement bound (m -> m+2)",
+     _row(_dominating_claims, "f is an (m+2)-map whenever f|D is an m-map on a dominating D")),
     (6, "Pyramid: base ring is the only minimal freezing set", row_pyramid),
     (7, "Solid pyramid: apex + base square minimal freezing", row_solid_pyramid),
     (8, "Bipyramid: poles + equator ring freeze", row_bipyramid),
     (9, "Solid bipyramid: poles + equator ring minimal freezing", row_solid_bipyramid),
     (10, "Box corners / boundary freezing theorems",
-     _table_row(_box_claims, "box corner and boundary freezing theorems hold")),
-    (11, "Cold and (1,1)-limiting pole theorems", row_cold_limiting),
+     _row(_box_claims, "box corner and boundary freezing theorems hold")),
+    (11, "Cold and (1,1)-limiting pole theorems",
+     _row(_cold_limiting_checks, "cold and limiting pole theorems hold on cycle bases")),
     (12, "Engine verdicts match the naive oracle on every query",
-     _table_row(_oracle_claims, "engine verdicts match plain enumeration on every query")),
-    (13, "Verdicts invariant under image isomorphisms", row_invariance),
+     _row(_oracle_claims, "engine verdicts match plain enumeration on every query")),
+    (13, "Verdicts invariant under image isomorphisms",
+     _row(_invariance_checks, "freezing and cold verdicts are isomorphism-invariant")),
 ]
 
 
 def run_suite(
     scale: int = 2,
     budget: SearchBudget = DEFAULT_BUDGET,
-    seed: int = 0,
     only: Optional[Sequence[int]] = None,
 ) -> List[SuiteRow]:
     if scale not in (1, 2):
@@ -501,7 +473,7 @@ def run_suite(
             continue
         t0 = time.monotonic()
         try:
-            status, detail = fn(scale, budget, seed)
+            status, detail = fn(scale, budget)
         except TimeoutError as exc:
             status, detail = "unknown", str(exc)
         rows.append(

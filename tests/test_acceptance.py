@@ -17,7 +17,7 @@ from digitop.verifier import DEFAULT_BUDGET, FAILS, HOLDS, UNKNOWN
 
 @pytest.fixture(scope="module")
 def results():
-    rows = run_suite(scale=2, budget=DEFAULT_BUDGET, seed=0)
+    rows = run_suite(scale=2, budget=DEFAULT_BUDGET)
     return {row.number: row for row in rows}
 
 
@@ -92,12 +92,12 @@ _FLIP = {HOLDS: FAILS, FAILS: HOLDS, UNKNOWN: UNKNOWN}
 @pytest.mark.parametrize(
     "deciders, wrong_verdict, must_fail",
     [
-        (_DECIDERS, lambda verdict: HOLDS, {1, 2, 3, 6, 7, 11, 12}),
-        (_DECIDERS, lambda verdict: FAILS, {1, 2, 6, 7, 8, 9, 10, 11, 12}),
+        (_DECIDERS, lambda verdict: HOLDS, {1, 2, 3, 5, 6, 7, 11, 12, 13}),
+        (_DECIDERS, lambda verdict: FAILS, {1, 2, 5, 6, 7, 8, 9, 10, 11, 12, 13}),
         (["is_minimal_freezing"], _FLIP.get, {2, 6, 7, 9, 10}),
-        (["is_freezing"], _FLIP.get, {1, 2, 3, 6, 7, 8, 10, 12}),
-        (["is_limiting"], _FLIP.get, {11, 12}),
-        (["is_s_cold"], _FLIP.get, {12}),
+        (["is_freezing"], _FLIP.get, {1, 2, 3, 6, 7, 8, 10, 12, 13}),
+        (["is_limiting"], _FLIP.get, {5, 11, 12}),
+        (["is_s_cold"], _FLIP.get, {12, 13}),
     ],
     ids=[
         "always-holds",

@@ -421,6 +421,16 @@ def test_paper_suite_starvation(runner):
     assert "UNKNOWN" in result.output
 
 
+def test_paper_suite_invariance_row_is_unknown_when_starved(runner):
+    # Row 13 claims a verdict for each symmetric image of a set; a verdict
+    # left unknown must not count as kept.
+    result = runner.invoke(
+        main, ["--budget-nodes", "1", "paper-suite", "--scale", "1", "--rows", "13"]
+    )
+    assert result.exit_code == 3
+    assert "UNKNOWN" in result.output
+
+
 @pytest.mark.parametrize("rows, bad", [("x", "x"), ("1,,2", ""), ("99", "99")])
 def test_paper_suite_rejects_bad_rows(runner, rows, bad):
     result = runner.invoke(main, ["paper-suite", "--scale", "1", "--rows", rows])

@@ -307,49 +307,51 @@ def test_long_witness_on_box_does_not_recurse():
     _assert_freezing_witness(b.image, [corner], report)
 
 
+def _best_of_three_ms(query, verdict):
+    """The least wall time of three calls to query, each of which must
+    answer verdict: one load spike on a shared host cannot fail a bound on
+    it, while a query that overruns its budget is slow in every run."""
+    times_ms = []
+    for _ in range(3):
+        t0 = time.monotonic()
+        answer = query()
+        times_ms.append((time.monotonic() - t0) * 1000)
+        assert answer == verdict
+    return min(times_ms)
+
+
 def test_a_radius_past_the_diameter_is_answered_within_the_budget():
     # Balls are built before the search clock starts; they stop growing at
     # the diameter, so a huge m, n or s costs no more than the diameter.
-    # Each query's time is the best of three runs, so one load spike on a
-    # shared host does not fail it; a radius walked past the diameter is
-    # slow in every run.
     budget = SearchBudget(max_millis=50)
     slack_ms = 250
     c8 = simple_closed_curve(8).image
     b = box([32, 32], 1)
     corner = min(b.named_sets["corners"])
     for query, verdict in (
-        (lambda: is_s_cold(c8, [0], 10**6, budget), HOLDS),
-        (lambda: is_limiting(c8, [0], 1, 10**6, budget), HOLDS),
-        (lambda: is_limiting(c8, [0], 10**6, 3, budget), FAILS),
-        (lambda: is_s_cold(b.image, [corner], 1000, budget), HOLDS),
+        (lambda: is_s_cold(c8, [0], 10**6, budget).verdict, HOLDS),
+        (lambda: is_limiting(c8, [0], 1, 10**6, budget).verdict, HOLDS),
+        (lambda: is_limiting(c8, [0], 10**6, 3, budget).verdict, FAILS),
+        (lambda: is_s_cold(b.image, [corner], 1000, budget).verdict, HOLDS),
     ):
-        times_ms = []
-        for _ in range(3):
-            t0 = time.monotonic()
-            report = query()
-            times_ms.append((time.monotonic() - t0) * 1000)
-            assert report.verdict == verdict
-        assert min(times_ms) <= budget.max_millis + slack_ms
+        assert _best_of_three_ms(query, verdict) <= budget.max_millis + slack_ms
 
 
 def test_time_budget_is_kept_in_root_propagation_and_search():
     # Unbudgeted, the freezing query searches C_3000 for about 4.5 s, and
-    # the s-cold query spends 280-390 ms in root propagation on C_12000
-    # before it answers holds at the root.
+    # the s-cold query spends 1.2-1.7 s in root propagation on box[60,60]
+    # under c_1 before it answers holds at the root: several times the
+    # bound, so a propagation that never reads the clock fails every run.
     budget = SearchBudget(max_millis=50)
     slack_ms = 250
     c3000 = simple_closed_curve(3000).image
-    c12000 = simple_closed_curve(12000).image
+    b60 = box([60, 60], 1)
+    corners = sorted(b60.named_sets["corners"])
     for query in (
-        lambda: is_freezing(c3000, [0, 1], budget),
-        lambda: is_s_cold(c12000, [0, 4000, 8000], 1, budget),
+        lambda: is_freezing(c3000, [0, 1], budget).verdict,
+        lambda: is_s_cold(b60.image, corners, 1, budget).verdict,
     ):
-        t0 = time.monotonic()
-        report = query()
-        elapsed_ms = (time.monotonic() - t0) * 1000
-        assert report.verdict == UNKNOWN
-        assert elapsed_ms <= budget.max_millis + slack_ms
+        assert _best_of_three_ms(query, UNKNOWN) <= budget.max_millis + slack_ms
 
 
 def test_node_cap_counts_only_expanded_nodes():
@@ -363,18 +365,19 @@ def test_node_cap_counts_only_expanded_nodes():
 
 
 def test_minimality_queries_spend_one_time_budget():
-    # Unbudgeted, the minimality check takes about 0.3 s and the search 5 s.
+    # Unbudgeted, the minimality check on Q_5 takes 0.7-0.9 s and the search
+    # on Q_6 about 5 s: a budget restarted for each sub-query overruns the
+    # bound in every run.
     budget = SearchBudget(max_millis=50)
     slack_ms = 250
-    q4 = solid_pyramid(4)
-    t0 = time.monotonic()
-    report = is_minimal_freezing(q4.image, q4.named_sets["U"] | q4.named_sets["W_4"], budget)
-    assert report.verdict == UNKNOWN
-    assert (time.monotonic() - t0) * 1000 <= budget.max_millis + slack_ms
+    q5 = solid_pyramid(5)
+    members = q5.named_sets["U"] | q5.named_sets["W_5"]
     q6 = solid_pyramid(6).image
-    t0 = time.monotonic()
-    assert search_minimal_freezing(q6, None, budget).status == UNKNOWN
-    assert (time.monotonic() - t0) * 1000 <= budget.max_millis + slack_ms
+    for query in (
+        lambda: is_minimal_freezing(q5.image, members, budget).verdict,
+        lambda: search_minimal_freezing(q6, None, budget).status,
+    ):
+        assert _best_of_three_ms(query, UNKNOWN) <= budget.max_millis + slack_ms
 
 
 def test_minimality_queries_spend_one_node_budget():

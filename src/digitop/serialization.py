@@ -113,6 +113,7 @@ def report_to_document(report: VerificationReport) -> Dict[str, Any]:
         "witness": list(report.witness.assignment) if report.witness else None,
         "detail": report.detail,
         "nodes_expanded": report.nodes_expanded,
+        "revisions": report.revisions,
         "elapsed_ms": round(report.elapsed_ms, 3),
         "pruning_stats": dict(report.pruning_stats),
         "budget": {

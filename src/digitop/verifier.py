@@ -11,7 +11,13 @@ neighbourhood at a time until the radius or the diameter is reached.
 The engine is one walk, `_SelfMapSearch.leaves`: root propagation, then a
 depth-first search over bitset domains on an explicit stack, with arc
 consistency (AC-3) to a fixpoint at every node and a viability check that
-cuts subtrees in which no vertex can still escape.  It branches on the first
+cuts subtrees in which no vertex can still escape.  Propagation keeps a
+first-in first-out worklist that holds each vertex at most once: revising x
+intersects every neighbour's domain with N*(dom(x)), and a narrowed
+neighbour joins the worklist unless it is waiting there.  It starts from the
+vertices whose domain is not full (at the root) or from the branching vertex
+(at a node): a full domain dilates to the full set and narrows nothing.  The
+fixpoint does not depend on the revision order.  It branches on the first
 vertex whose domain is not a singleton, in ring order from the constrained
 vertices (vertex 0 if none is), id order within a ring.  At a leaf every
 domain is a singleton, so the fixpoint makes it a continuous map.  Deciding
@@ -29,13 +35,14 @@ the arc-consistency fixpoint already implies both:
 Each query runs all its searches through one `_SelfMapSearch`, so a
 minimality check spends one budget on S and every S - {a}.  Exceeding it
 yields the verdict "unknown", never a guess.  The clock starts once the
-balls are built and is read at every node and at every new neighbourhood
-union, so root propagation keeps the budget too.
+balls are built and is read at every node and at every revision, so root
+propagation keeps the budget too.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from typing import (
@@ -94,6 +101,7 @@ class VerificationReport:
     witness: Optional[Mapping]
     detail: Optional[str]
     nodes_expanded: int
+    revisions: int  # arc revisions, root propagation included
     elapsed_ms: float
     pruning_stats: Dict[str, int]
     budget: SearchBudget = DEFAULT_BUDGET
@@ -135,6 +143,7 @@ class _SelfMapSearch:
         self.reach = reach
         self.escape = escape
         self.nodes = 0
+        self.revisions = 0  # arc revisions: one per vertex taken off the queue
         # The benchmark reports one figure per key, so the key set is fixed.
         # unique_path_forced and pulling_filtered are always 0: arc
         # consistency implies both rules (see the module docstring).
@@ -151,27 +160,41 @@ class _SelfMapSearch:
     def _union_nbhd(self, mask: int) -> int:
         cached = self._union_memo.get(mask)
         if cached is None:
-            if time.monotonic() > self._deadline:
-                raise _BudgetExceeded
             cached = self._union_memo[mask] = self.img.dilate(mask)
         return cached
 
-    def _propagate(self, dom: List[int], queue: List[int]) -> bool:
-        """Arc consistency to fixpoint: dom(y) &= N*(dom(x)) along each edge.
-        Every queued domain is non-empty: one is narrowed only to non-empty."""
+    def _propagate(self, dom: List[int], narrowed: Iterable[int]) -> bool:
+        """Arc consistency to fixpoint: dom(y) &= N*(dom(x)) along each edge,
+        revising the narrowed vertices first-in first-out, each queued at
+        most once.  Every queued domain is non-empty: one is narrowed only
+        to non-empty.  Reads the clock once per revision."""
         adj = self.img._adj
-        while queue:
-            x = queue.pop()
-            allowed = self._union_nbhd(dom[x])
-            for y in adj[x]:
-                ny = dom[y] & allowed
-                if ny != dom[y]:
-                    if ny == 0:
-                        self.stats["wipeouts"] += 1
-                        return False
-                    dom[y] = ny
-                    queue.append(y)
-        return True
+        queue = deque(narrowed)
+        queued = bytearray(self.n)
+        for x in queue:
+            queued[x] = 1
+        revisions = 0
+        try:
+            while queue:
+                if time.monotonic() > self._deadline:
+                    raise _BudgetExceeded
+                revisions += 1
+                x = queue.popleft()
+                queued[x] = 0
+                allowed = self._union_nbhd(dom[x])
+                for y in adj[x]:
+                    ny = dom[y] & allowed
+                    if ny != dom[y]:
+                        if ny == 0:
+                            self.stats["wipeouts"] += 1
+                            return False
+                        dom[y] = ny
+                        if not queued[y]:
+                            queued[y] = 1
+                            queue.append(y)
+            return True
+        finally:
+            self.revisions += revisions
 
     def _viable(self, dom: List[int]) -> bool:
         """In counterexample mode: can any completion still escape?"""
@@ -220,7 +243,8 @@ class _SelfMapSearch:
         scan after that position."""
         order = self._order(domains)
         dom = list(domains)
-        if not self._propagate(dom, list(range(self.n))):
+        full = (1 << self.n) - 1
+        if not self._propagate(dom, [x for x, dx in enumerate(dom) if dx != full]):
             return
         stack: List[Tuple[List[int], int, Iterator[int]]] = []
         start = 0
@@ -370,6 +394,7 @@ def _decide(
         witness=witness,
         detail=detail,
         nodes_expanded=search.nodes,
+        revisions=search.revisions,
         elapsed_ms=(time.monotonic() - search.t0) * 1000,
         pruning_stats=dict(search.stats),
         budget=budget,

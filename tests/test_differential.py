@@ -7,7 +7,9 @@ metric of `DigitalImage` (dilation rings, distance, diameter, connectivity,
 domination) and the engine's displacement balls must agree with
 `suite.naive_distances`, the oracle's own breadth-first search, on connected
 and disconnected graphs.  The cone and suspension theorems are replayed on
-random bases.  Query graphs have at most 8 vertices and degree at most 3:
+random bases.  The engine's arc-consistency fixpoint, domains and
+wipeout alike, must equal a naive one that revises every edge until
+nothing changes.  Query graphs have at most 8 vertices and degree at most 3:
 the oracle enumerates continuous maps vertex by vertex, so this bounds its
 work by 8 * 4^7 maps per query (a star on 8 vertices alone has more than 2
 million).
@@ -37,9 +39,11 @@ from digitop.maps import (
 )
 from digitop.suite import _small_bases, naive_distances, naive_verdict
 from digitop.verifier import (
+    DEFAULT_BUDGET,
     FAILS,
     HOLDS,
     _balls,
+    _SelfMapSearch,
     is_freezing,
     is_limiting,
     is_minimal_freezing,
@@ -128,6 +132,54 @@ def test_random_maps_are_continuous_fix_their_set_and_repeat_per_seed(query, see
     assert is_continuous(f)
     assert set(fixed) <= fixed_points(f)
     assert random_continuous_map(image, fixed, seed) == f
+
+
+def naive_arc_consistency(image, domains):
+    """The fixpoint of dom(y) &= N*(dom(x)) over every edge, read from the
+    adjacency alone and revised edge by edge until nothing changes; None if
+    a domain empties."""
+    dom = list(domains)
+    closed = [_mask([v, *image.neighbors(v)]) for v in range(image.n)]
+    changed = True
+    while changed:
+        changed = False
+        for x, y in image.edges:
+            for a, b in ((x, y), (y, x)):
+                allowed = 0
+                for v in range(image.n):
+                    if dom[a] >> v & 1:
+                        allowed |= closed[v]
+                if dom[b] & ~allowed:
+                    dom[b] &= allowed
+                    changed = True
+                    if not dom[b]:
+                        return None
+    return dom
+
+
+@st.composite
+def domain_queries(draw):
+    """A connected query graph with a non-empty domain per vertex, often full."""
+    image, _ = draw(connected_queries())
+    full = (1 << image.n) - 1
+    domain = st.one_of(st.just(full), st.integers(1, full))
+    return image, [draw(domain) for _ in range(image.n)]
+
+
+@bounded
+@given(domain_queries())
+def test_propagation_reaches_the_naive_fixpoint(query):
+    """Root propagation starts only from the narrowed domains: a full one
+    dilates to the full set, so revising it narrows nothing."""
+    image, domains = query
+    full = (1 << image.n) - 1
+    dom = list(domains)
+    search = _SelfMapSearch(image, DEFAULT_BUDGET)
+    consistent = search._propagate(dom, [x for x, dx in enumerate(dom) if dx != full])
+    expected = naive_arc_consistency(image, domains)
+    assert consistent == (expected is not None)
+    if consistent:
+        assert dom == expected
 
 
 def _mask(vertices):

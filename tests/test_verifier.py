@@ -338,18 +338,18 @@ def test_a_radius_past_the_diameter_is_answered_within_the_budget():
 
 
 def test_time_budget_is_kept_in_root_propagation_and_search():
-    # Unbudgeted, the freezing query searches C_3000 for about 4.5 s, and
-    # the s-cold query spends 1.2-1.7 s in root propagation on box[60,60]
-    # under c_1 before it answers holds at the root: several times the
-    # bound, so a propagation that never reads the clock fails every run.
+    # Unbudgeted, the freezing query searches C_3000 for about 6 s, and the
+    # s-cold query spends 1.1-1.2 s in root propagation on [0,21]^3 under
+    # c_1 before it answers holds at the root: several times the bound, so a
+    # propagation that never reads the clock fails every run.
     budget = SearchBudget(max_millis=50)
     slack_ms = 250
     c3000 = simple_closed_curve(3000).image
-    b60 = box([60, 60], 1)
-    corners = sorted(b60.named_sets["corners"])
+    b22 = box([22, 22, 22], 1)
+    corners = sorted(b22.named_sets["corners"])
     for query in (
         lambda: is_freezing(c3000, [0, 1], budget).verdict,
-        lambda: is_s_cold(b60.image, corners, 1, budget).verdict,
+        lambda: is_s_cold(b22.image, corners, 1, budget).verdict,
     ):
         assert _best_of_three_ms(query, UNKNOWN) <= budget.max_millis + slack_ms
 
@@ -365,16 +365,16 @@ def test_node_cap_counts_only_expanded_nodes():
 
 
 def test_minimality_queries_spend_one_time_budget():
-    # Unbudgeted, the minimality check on Q_5 takes 0.7-0.9 s and the search
-    # on Q_6 about 5 s: a budget restarted for each sub-query overruns the
+    # Unbudgeted, the minimality check on Q_7 takes 1.3-1.7 s and the search
+    # on Q_6 about 1.25 s: a budget restarted for each sub-query overruns the
     # bound in every run.
     budget = SearchBudget(max_millis=50)
     slack_ms = 250
-    q5 = solid_pyramid(5)
-    members = q5.named_sets["U"] | q5.named_sets["W_5"]
+    q7 = solid_pyramid(7)
+    members = q7.named_sets["U"] | q7.named_sets["W_7"]
     q6 = solid_pyramid(6).image
     for query in (
-        lambda: is_minimal_freezing(q5.image, members, budget).verdict,
+        lambda: is_minimal_freezing(q7.image, members, budget).verdict,
         lambda: search_minimal_freezing(q6, None, budget).status,
     ):
         assert _best_of_three_ms(query, UNKNOWN) <= budget.max_millis + slack_ms
@@ -406,6 +406,33 @@ def test_minimal_report_counts_each_search_once():
         assert report.nodes_expanded == sum(r.nodes_expanded for r in parts)
         for key, value in report.pruning_stats.items():
             assert value == sum(r.pruning_stats[key] for r in parts)
+
+
+def test_reports_count_arc_revisions(tmp_path):
+    # One revision per vertex taken off the propagation queue, root and
+    # every node together; the counts are exact, like node counts.
+    b60 = box([60, 60], 1)
+    p2, q5 = pyramid(2), solid_pyramid(5)
+    for report, nodes, revisions in (
+        (is_s_cold(b60.image, b60.named_sets["corners"], 1), 1, 14_045),
+        (is_minimal_freezing(p2.image, p2.named_sets["T_2"]), 40, 473),
+        (is_minimal_freezing(q5.image, q5.named_sets["U"] | q5.named_sets["W_5"]),
+         509, 52_651),
+    ):
+        assert report.verdict == HOLDS
+        assert (report.nodes_expanded, report.revisions) == (nodes, revisions)
+        assert "revisions" not in report.pruning_stats
+    doc = tmp_path / "p2.json"
+    runner = CliRunner()
+    built = runner.invoke(main, ["build", "pyramid", "--n", "2", "--out", str(doc)])
+    assert built.exit_code == 0, built.output
+    verified = runner.invoke(
+        main, ["--quiet", "verify", "minimal", "--image", str(doc), "--set", "T_2",
+               "--out", str(tmp_path / "report.json")]
+    )
+    assert verified.exit_code == 0, verified.output
+    printed = json.loads((tmp_path / "report.json").read_text())
+    assert (printed["nodes_expanded"], printed["revisions"]) == (40, 473)
 
 
 def test_a_wipeout_refutes_a_branch():

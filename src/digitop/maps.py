@@ -38,14 +38,6 @@ class Mapping:
         self.source.check_vertex(x)
         return self.assignment[x]
 
-    def compose(self, inner: "Mapping") -> "Mapping":
-        """self after inner."""
-        return Mapping(
-            inner.source,
-            self.target,
-            tuple(self.assignment[v] for v in inner.assignment),
-        )
-
 
 def is_continuous(f: Mapping) -> bool:
     """True iff every source edge maps to equal or adjacent target vertices."""

@@ -18,8 +18,7 @@ neighbour joins the worklist unless it is waiting there.  It starts from the
 vertices whose domain is not full (at the root) or from the branching vertex
 (at a node): a full domain dilates to the full set and narrows nothing.  The
 fixpoint does not depend on the revision order.  It branches on the first
-vertex whose domain is not a singleton, in ring order from the constrained
-vertices (vertex 0 if none is), id order within a ring.  At a leaf every
+vertex, in id order, whose domain is not a singleton.  At a leaf every
 domain is a singleton, so the fixpoint makes it a continuous map.  Deciding
 takes the first leaf, enumeration counts leaves, and
 `maps.random_continuous_map` takes the first leaf under a seeded value order.
@@ -34,9 +33,10 @@ the arc-consistency fixpoint already implies both:
 
 Each query runs all its searches through one `_SelfMapSearch`, so a
 minimality check spends one budget on S and every S - {a}.  Exceeding it
-yields the verdict "unknown", never a guess.  The clock starts once the
-balls are built and is read at every node and at every revision, so root
-propagation keeps the budget too.
+yields the verdict "unknown", never a guess.  The clock starts with the
+query and is read at every growth step of the balls, at every node and at
+every revision, so building the balls and root propagation keep the budget
+too.
 """
 
 from __future__ import annotations
@@ -123,16 +123,14 @@ class MinimalSearchResult:
 class _SelfMapSearch:
     """One query's complete DFS over continuous self-maps with bitset
     domains: its searches share one deadline, node count, stats and memo.  A
-    limiting query sets `reach` and `escape`: each member x must map into
-    reach[x], and some vertex v into escape[v]."""
+    limiting query calls `limit`, which sets `reach` and `escape`: each
+    member x must map into reach[x], and some vertex v into escape[v]."""
 
     def __init__(
         self,
         image: DigitalImage,
         budget: SearchBudget,
         values: Callable[[int], Iterator[int]] = bits,
-        reach: Sequence[int] = (),
-        escape: Optional[Sequence[int]] = None,
     ) -> None:
         self.t0 = time.monotonic()
         self._deadline = self.t0 + budget.max_millis / 1000
@@ -140,8 +138,8 @@ class _SelfMapSearch:
         self.n = image.n
         self.budget = budget
         self.values = values
-        self.reach = reach
-        self.escape = escape
+        self.reach: Sequence[int] = ()
+        self.escape: Optional[Sequence[int]] = None
         self.nodes = 0
         self.revisions = 0  # arc revisions: one per vertex taken off the queue
         # The benchmark reports one figure per key, so the key set is fixed.
@@ -154,6 +152,15 @@ class _SelfMapSearch:
             "wipeouts": 0,
         }
         self._union_memo: Dict[int, int] = {}
+
+    def limit(self, m: int, n: int) -> None:
+        """Make this an (m,n)-limiting search: members move at most m, and
+        some vertex must move more than n.  The balls are built on the
+        query's clock; raises _BudgetExceeded."""
+        self.reach = _balls(self.img, m, self._deadline)
+        n_balls = self.reach if n == m else _balls(self.img, n, self._deadline)
+        full = (1 << self.n) - 1
+        self.escape = [full & ~ball for ball in n_balls]
 
     # -- propagation -------------------------------------------------------
 
@@ -215,33 +222,20 @@ class _SelfMapSearch:
             raise _BudgetExceeded
         self.nodes += 1
 
-    def _order(self, domains: Sequence[int]) -> List[int]:
-        """Branching order: ring by ring from the constrained vertices (from
-        vertex 0 if none is), then any vertex the rings do not reach."""
-        full = (1 << self.n) - 1
-        anchors = sum(1 << x for x, dx in enumerate(domains) if dx != full)
-        reached = 0
-        order: List[int] = []
-        for ring in self.img.rings(anchors or (1 if self.n else 0)):
-            reached |= ring
-            order += bits(ring)
-        return order + list(bits(full & ~reached))
-
-    def _pick(self, dom: List[int], order: List[int], start: int) -> int:
-        """The first position from `start` whose domain is not a singleton."""
-        for i in range(start, len(order)):
-            dx = dom[order[i]]
+    def _pick(self, dom: List[int], start: int) -> int:
+        """The first vertex from `start` whose domain is not a singleton."""
+        for x in range(start, self.n):
+            dx = dom[x]
             if dx & (dx - 1):
-                return i
-        return len(order)
+                return x
+        return self.n
 
     def leaves(self, domains: Sequence[int]) -> Iterator[Tuple[int, ...]]:
         """Every viable leaf within `domains`, depth first, children in
-        `values` order; raises _BudgetExceeded when the budget runs out.  A
-        stack entry is (parent domains, branching position, values left).
-        Domains only shrink along a path, so a child resumes the branching
-        scan after that position."""
-        order = self._order(domains)
+        `values` order; raises _BudgetExceeded when the budget runs out.  It
+        branches in id order: a stack entry is (parent domains, branching
+        vertex x, values left), and since domains only shrink along a path, a
+        child resumes the scan at x + 1."""
         dom = list(domains)
         full = (1 << self.n) - 1
         if not self._propagate(dom, [x for x, dx in enumerate(dom) if dx != full]):
@@ -251,24 +245,23 @@ class _SelfMapSearch:
         while True:
             self._tick()
             if self._viable(dom):
-                i = self._pick(dom, order, start)
-                if i < len(order):
-                    stack.append((dom, i, self.values(dom[order[i]])))
+                x = self._pick(dom, start)
+                if x < self.n:
+                    stack.append((dom, x, self.values(dom[x])))
                 else:
                     yield tuple(d.bit_length() - 1 for d in dom)
             while True:
                 if not stack:
                     return
-                parent, i, values = stack[-1]
+                parent, x, values = stack[-1]
                 v = next(values, None)
                 if v is None:
                     stack.pop()
                     continue
-                x = order[i]
                 dom = parent.copy()
                 dom[x] = 1 << v
                 if self._propagate(dom, [x]):
-                    start = i + 1
+                    start = x + 1
                     break
 
     def counterexample(self, members: List[int]) -> Optional[Mapping]:
@@ -301,13 +294,16 @@ def _check_subset(image: DigitalImage, subset: Iterable[int]) -> List[int]:
     return members
 
 
-def _balls(image: DigitalImage, r: int) -> List[int]:
+def _balls(image: DigitalImage, r: int, deadline: float) -> List[int]:
     """B(x,r) for every x: B(x,t+1) is the OR of B(y,t) over y in N*(x), one
-    OR per edge and step, and the steps stop once no ball grows."""
+    OR per edge and step, and the steps stop once no ball grows.  Raises
+    _BudgetExceeded past `deadline`, which is read once per step."""
     xs = range(image.n)
     balls = [image.closed_neighborhood_bits(x) if r else 1 << x for x in xs]
     around = [image.neighbors(x) for x in xs] if r > 1 else []
     for _ in range(r - 1):
+        if time.monotonic() > deadline:
+            raise _BudgetExceeded
         grown = []
         for ball, nbrs in zip(balls, around):
             for y in nbrs:
@@ -322,20 +318,6 @@ def _balls(image: DigitalImage, r: int) -> List[int]:
 def _require_connected(image: DigitalImage) -> None:
     if not image.is_connected():
         raise DisconnectedImageError("this query requires a connected image")
-
-
-def _limiting_search(
-    image: DigitalImage, m: int, n: int, budget: SearchBudget
-) -> _SelfMapSearch:
-    """The search of one (m,n)-limiting query: members move at most m, and
-    some vertex must move more than n.  The balls are built first, so the
-    query's clock starts after them."""
-    _require_connected(image)
-    m_balls = _balls(image, m)
-    n_balls = m_balls if n == m else _balls(image, n)
-    full = (1 << image.n) - 1
-    escape = [full & ~ball for ball in n_balls]
-    return _SelfMapSearch(image, budget, reach=m_balls, escape=escape)
 
 
 def _removable(search: _SelfMapSearch, members: List[int]) -> Iterator[int]:
@@ -370,9 +352,11 @@ def _decide(
     minimal_freezing query of a freezing subset the first removable member.
     The report reads its counters from the query's one search."""
     members = _check_subset(image, subset)
-    search = _limiting_search(image, m, n, budget)
+    search = _SelfMapSearch(image, budget)
+    _require_connected(image)
     witness = detail = None
     try:
+        search.limit(m, n)
         witness = search.counterexample(members)
         verdict = HOLDS if witness is None else FAILS
         if prop == "minimal_freezing" and witness is not None:
@@ -467,13 +451,14 @@ def search_minimal_freezing(
     minimal, and it is the set that restarting the scan from the lowest id
     after every removal finds.  All the searches spend one budget.
     """
+    search = _SelfMapSearch(image, budget)
     _require_connected(image)
     if seed_set is None and image.is_coordinate_backed:
         boundary = c1_boundary(image.coords, image.dimension)
         seed_set = [image.vertex_at(p) for p in boundary]
     members = _check_subset(image, range(image.n) if seed_set is None else seed_set)
-    search = _limiting_search(image, 0, 0, budget)
     try:
+        search.limit(0, 0)
         if search.counterexample(members) is not None:
             raise ValueError("seed set is not a freezing set")
         removed = set(_removable(search, members))

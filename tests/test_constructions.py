@@ -40,7 +40,7 @@ def test_box():
 
 def test_simple_closed_curve():
     c4 = simple_closed_curve(4).image
-    assert c4.n == 4 and all(c4.degree(v) == 2 for v in range(4))
+    assert c4.n == 4 and all(len(c4.neighbors(v)) == 2 for v in range(4))
     assert simple_closed_curve(8).image.diameter() == 4
     c5 = simple_closed_curve(5).image
     assert all(len(c5.neighborhood(v)) == 3 for v in range(5))
@@ -156,7 +156,7 @@ def test_rings_are_almost_simple_closed_curves():
             sub_c3 = DigitalImage.from_points(points, u=3)
             assert sub_c3.is_connected()
             sub_c1 = DigitalImage.from_points(points, u=1)
-            assert all(sub_c1.degree(v) == 2 for v in range(sub_c1.n))
+            assert all(len(sub_c1.neighbors(v)) == 2 for v in range(sub_c1.n))
 
 
 def test_mirror_symmetry_is_involution():

@@ -192,7 +192,7 @@ def _check_metric(image, subset):
     dist = naive_distances(image)
     # r = 10**6 runs in time only if the balls stop growing at the diameter.
     for r in (0, 1, 2, 3, n, 10**6):
-        assert _balls(image, r) == [
+        assert _balls(image, r, math.inf) == [
             _mask(v for v in range(n) if dist[x][v] <= r) for x in range(n)
         ]
     sources = [[x] for x in range(n)] + ([subset] if subset else [])

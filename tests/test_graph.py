@@ -85,7 +85,7 @@ def test_neighborhood_contains_self(cycle4):
         hood = cycle4.neighborhood(v)
         assert v in hood
         assert len(hood) == 3
-        assert len(hood) - 1 == cycle4.degree(v)
+        assert len(hood) - 1 == len(cycle4.neighbors(v))
 
 
 def test_neighborhood_singleton():

@@ -321,20 +321,29 @@ def _best_of_three_ms(query, verdict):
 
 
 def test_a_radius_past_the_diameter_is_answered_within_the_budget():
-    # Balls are built before the search clock starts; they stop growing at
-    # the diameter, so a huge m, n or s costs no more than the diameter.
+    # Balls stop growing at the diameter, so a huge m, n or s costs no more
+    # than the diameter.  They are built on the query's clock, which is read
+    # once per growth step: box[100,100] under c_1 needs 198 steps, each
+    # over 10,000 balls of 10,000 bits, so its budget runs out while the
+    # balls grow and the report counts no node and no revision.
     budget = SearchBudget(max_millis=50)
     slack_ms = 250
     c8 = simple_closed_curve(8).image
     b = box([32, 32], 1)
     corner = min(b.named_sets["corners"])
+    b100 = box([100, 100], 1)
+    corners100 = sorted(b100.named_sets["corners"])
     for query, verdict in (
         (lambda: is_s_cold(c8, [0], 10**6, budget).verdict, HOLDS),
         (lambda: is_limiting(c8, [0], 1, 10**6, budget).verdict, HOLDS),
         (lambda: is_limiting(c8, [0], 10**6, 3, budget).verdict, FAILS),
         (lambda: is_s_cold(b.image, [corner], 1000, budget).verdict, HOLDS),
+        (lambda: is_s_cold(b100.image, corners100, 10**6, budget).verdict, UNKNOWN),
     ):
         assert _best_of_three_ms(query, verdict) <= budget.max_millis + slack_ms
+    starved = is_s_cold(b100.image, corners100, 10**6, budget)
+    assert (starved.nodes_expanded, starved.revisions) == (0, 0)
+    assert starved.elapsed_ms >= budget.max_millis
 
 
 def test_time_budget_is_kept_in_root_propagation_and_search():
@@ -362,6 +371,22 @@ def test_node_cap_counts_only_expanded_nodes():
         report = is_freezing(c, [0, 1], SearchBudget(max_nodes=cap))
         assert report.verdict == verdict
         assert report.nodes_expanded == min(cap, 399)
+
+
+def test_search_branches_on_the_lowest_free_vertex_id():
+    # The search branches on the lowest vertex whose domain is not a
+    # singleton, wherever the pinned vertices lie; these exact counts pin
+    # that order.
+    c600, c60 = simple_closed_curve(600).image, simple_closed_curve(60).image
+    b = box([16, 16], 2)
+    corners = sorted(b.named_sets["corners"])
+    for report, nodes in (
+        (is_freezing(c600, [300, 301]), 4),
+        (is_s_cold(c60, [30, 31], 1), 4),
+        (is_freezing(b.image, corners[1:]), 76),
+    ):
+        assert report.verdict == FAILS
+        assert report.nodes_expanded == nodes
 
 
 def test_minimality_queries_spend_one_time_budget():

@@ -2,7 +2,7 @@
 constructions, continuous self-maps, and an exhaustive freezing-set verifier."""
 
 from .graph import DigitalImage, DisconnectedImageError, UnknownVertexError
-from .lattice import DimensionMismatchError, c1_boundary, cu_adjacent
+from .lattice import DimensionMismatchError, c1_boundary
 from .constructions import (
     NamedComplex,
     bipyramid,
@@ -22,7 +22,6 @@ from .maps import (
     is_isomorphism,
     max_displacement,
     push_forward,
-    random_continuous_map,
 )
 from .verifier import (
     FAILS,
@@ -35,13 +34,12 @@ from .verifier import (
     is_limiting,
     is_minimal_freezing,
     is_s_cold,
+    random_continuous_map,
     search_minimal_freezing,
 )
 from .serialization import (
     complex_to_document,
     document_to_complex,
-    dump_complex,
-    load_complex,
     report_to_document,
     to_dot,
 )
@@ -55,7 +53,6 @@ __all__ = [
     "UnknownVertexError",
     "DimensionMismatchError",
     "c1_boundary",
-    "cu_adjacent",
     "NamedComplex",
     "bipyramid",
     "box",
@@ -72,7 +69,6 @@ __all__ = [
     "is_isomorphism",
     "max_displacement",
     "push_forward",
-    "random_continuous_map",
     "FAILS",
     "HOLDS",
     "UNKNOWN",
@@ -83,11 +79,10 @@ __all__ = [
     "is_limiting",
     "is_minimal_freezing",
     "is_s_cold",
+    "random_continuous_map",
     "search_minimal_freezing",
     "complex_to_document",
     "document_to_complex",
-    "dump_complex",
-    "load_complex",
     "report_to_document",
     "to_dot",
     "run_suite",

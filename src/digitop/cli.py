@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import List, Optional
 
 import click
+from click.core import ParameterSource
 
 from . import constructions as build_mod
 from .constructions import NamedComplex
@@ -220,6 +221,11 @@ def cmd_build(ctx, family, n, a, b, m, extents, u, base, base_image, out):
 @click.pass_context
 def cmd_verify(ctx, property, image_path, set_spec, s, m, n, out):
     """Decide a freezing / cold / limiting / minimal-freezing query."""
+    reads = {"cold": ("s",), "limiting": ("m", "n")}.get(property, ())
+    for bound in ("s", "m", "n"):
+        given = ctx.get_parameter_source(bound) is not ParameterSource.DEFAULT
+        if given and bound not in reads:
+            raise click.UsageError(f"{property} does not read --{bound}")
     nc = _load_complex(image_path)
     subset = _resolve_set(nc, set_spec)
     budget = ctx.obj["budget"]
@@ -297,7 +303,7 @@ def cmd_export(ctx, image_path, fmt, out):
 
 
 @main.command("paper-suite")
-@click.option("--scale", type=click.Choice(["1", "2"]), default="2", show_default=True)
+@click.option("--scale", type=int, default=2, show_default=True)
 @click.option("--rows", type=str, default=None, help="comma-separated row numbers")
 @click.pass_context
 def cmd_paper_suite(ctx, scale, rows):
@@ -310,7 +316,10 @@ def cmd_paper_suite(ctx, scale, rows):
                 f"--rows term {term!r} is not a suite row; valid rows are 1-{len(ROWS)}"
             )
     only = None if rows is None else [valid[term] for term in terms]
-    results = run_suite(scale=int(scale), budget=ctx.obj["budget"], only=only)
+    try:
+        results = run_suite(scale=scale, budget=ctx.obj["budget"], only=only)
+    except ValueError as exc:  # a scale the suite does not define
+        raise click.UsageError(str(exc))
     width = max(len(r.title) for r in results)
     for r in results:
         click.echo(

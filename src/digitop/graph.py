@@ -171,10 +171,6 @@ class DigitalImage:
     def neighbors(self, x: int) -> Tuple[int, ...]:
         return self._adj[self.check_vertex(x)]
 
-    def neighborhood(self, x: int) -> FrozenSet[int]:
-        """Closed neighborhood: x together with everything adjacent to it."""
-        return frozenset((x,) + self.neighbors(x))
-
     def closed_neighborhood_bits(self, x: int) -> int:
         return self._nbhd_bits[self.check_vertex(x)]
 

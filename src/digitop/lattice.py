@@ -1,4 +1,5 @@
-"""Points of Z^d, the c_u adjacency family, and the c_1 boundary operator."""
+"""Points of Z^d and the c_1 boundary operator.  The c_u edges of a point
+set are built by `graph.DigitalImage.from_points`."""
 
 from __future__ import annotations
 
@@ -24,25 +25,6 @@ def check_point(p: Sequence[int], d: int | None = None) -> Point:
     if any(abs(c) > MAX_COORD for c in pt):
         raise ValueError(f"coordinate magnitude exceeds {MAX_COORD}: {pt!r}")
     return pt
-
-
-def cu_adjacent(p: Sequence[int], q: Sequence[int], u: int) -> bool:
-    """True iff p != q, every coordinate differs by 0 or 1, and the number of
-    coordinates differing by 1 is between 1 and u."""
-    pt = check_point(p)
-    qt = check_point(q)
-    if len(pt) != len(qt):
-        raise DimensionMismatchError(f"points {pt!r} and {qt!r} differ in dimension")
-    if not 1 <= u <= len(pt):
-        raise ValueError(f"require 1 <= u <= {len(pt)}, got u={u}")
-    changed = 0
-    for a, b in zip(pt, qt):
-        diff = abs(a - b)
-        if diff == 1:
-            changed += 1
-        elif diff != 0:
-            return False
-    return 1 <= changed <= u
 
 
 def c1_neighbors(p: Point) -> Iterator[Point]:

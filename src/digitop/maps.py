@@ -1,13 +1,12 @@
-"""Functions between digital images: continuity, fixed points, displacement,
-isomorphisms, and seeded random generation of continuous self-maps."""
+"""Functions between digital images: continuity, fixed points, displacement
+and isomorphisms.  Seeded random self-maps are `verifier.random_continuous_map`."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Iterator, Optional, Tuple
+from typing import FrozenSet, Iterable, Optional, Tuple
 
-from .graph import DigitalImage, DisconnectedImageError, bits
+from .graph import DigitalImage, DisconnectedImageError
 
 
 @dataclass(frozen=True)
@@ -24,19 +23,11 @@ class Mapping:
         for v in self.assignment:
             self.target.check_vertex(v)
 
-    @classmethod
-    def identity(cls, image: DigitalImage) -> "Mapping":
-        return cls(image, image, tuple(range(image.n)))
-
     @property
     def is_self_map(self) -> bool:
         return self.source is self.target or (
             self.source.n == self.target.n and self.source.edges == self.target.edges
         )
-
-    def __call__(self, x: int) -> int:
-        self.source.check_vertex(x)
-        return self.assignment[x]
 
 
 def is_continuous(f: Mapping) -> bool:
@@ -86,32 +77,3 @@ def is_isomorphism(f: Mapping) -> bool:
 
 def push_forward(subset: Iterable[int], f: Mapping) -> FrozenSet[int]:
     return frozenset(f.assignment[f.source.check_vertex(x)] for x in subset)
-
-
-def random_continuous_map(
-    image: DigitalImage, fixed: Iterable[int] = (), seed: int = 0
-) -> Mapping:
-    """A seeded random continuous self-map fixing `fixed` pointwise.
-
-    The first leaf of the verifier's search with `fixed` pinned, trying the
-    values of each branching vertex in an order shuffled by `seed`.  The
-    identity is a leaf, so one exists; a search that outruns the default
-    budget raises TimeoutError.
-    """
-    from .verifier import DEFAULT_BUDGET, _SelfMapSearch
-
-    if not image.is_connected():
-        raise DisconnectedImageError("random map generation requires connectivity")
-    rng = random.Random(seed)
-    domains = [(1 << image.n) - 1] * image.n
-    for x in fixed:
-        domains[image.check_vertex(x)] = 1 << x
-
-    def shuffled(mask: int) -> Iterator[int]:
-        values = list(bits(mask))
-        rng.shuffle(values)
-        return iter(values)
-
-    search = _SelfMapSearch(image, DEFAULT_BUDGET, shuffled)
-    return Mapping(image, image, next(search.leaves(domains)))
-

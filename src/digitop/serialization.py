@@ -7,12 +7,10 @@ Parsing a serialized document reproduces it byte-for-byte.
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from .constructions import NamedComplex
 from .graph import DigitalImage
-from .maps import Mapping
 from .verifier import VerificationReport
 
 FORMAT_VERSION = 1
@@ -95,14 +93,6 @@ def document_to_complex(doc: Dict[str, Any]) -> NamedComplex:
     return NamedComplex(image, named)
 
 
-def dump_complex(nc: NamedComplex) -> str:
-    return json.dumps(complex_to_document(nc), indent=2, sort_keys=False)
-
-
-def load_complex(text: str) -> NamedComplex:
-    return document_to_complex(json.loads(text))
-
-
 def report_to_document(report: VerificationReport) -> Dict[str, Any]:
     return {
         "format_version": FORMAT_VERSION,
@@ -121,15 +111,6 @@ def report_to_document(report: VerificationReport) -> Dict[str, Any]:
             "max_millis": report.budget.max_millis,
         },
     }
-
-
-def witness_from_document(
-    doc: Dict[str, Any], image: DigitalImage
-) -> Optional[Mapping]:
-    values = doc.get("witness")
-    if values is None:
-        return None
-    return Mapping(image, image, tuple(values))
 
 
 def to_dot(nc: NamedComplex, name: str = "G") -> str:

@@ -20,8 +20,8 @@ vertices whose domain is not full (at the root) or from the branching vertex
 fixpoint does not depend on the revision order.  It branches on the first
 vertex, in id order, whose domain is not a singleton.  At a leaf every
 domain is a singleton, so the fixpoint makes it a continuous map.  Deciding
-takes the first leaf, enumeration counts leaves, and
-`maps.random_continuous_map` takes the first leaf under a seeded value order.
+takes the first leaf, enumeration counts leaves, and `random_continuous_map`
+takes the first leaf under a seeded value order.
 
 The paper's unique-path and pulling lemmas are not engine rules, because
 the arc-consistency fixpoint already implies both:
@@ -41,6 +41,7 @@ too.
 
 from __future__ import annotations
 
+import random
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -467,6 +468,14 @@ def search_minimal_freezing(
     return MinimalSearchResult(FOUND, frozenset(members) - removed, search.nodes)
 
 
+def _fixing(image: DigitalImage, fixed: Iterable[int]) -> List[int]:
+    """Full domains, except that each fixed vertex is pinned to itself."""
+    domains = [(1 << image.n) - 1] * image.n
+    for x in _check_subset(image, fixed):
+        domains[x] = 1 << x
+    return domains
+
+
 def enumerate_continuous_self_maps(
     image: DigitalImage,
     fixed: Iterable[int] = (),
@@ -484,11 +493,28 @@ def enumerate_continuous_self_maps(
         raise ValueError("enumeration is guarded to images with <= 64 vertices")
     if cap < 1:
         raise ValueError("cap must be positive")
-    members = _check_subset(image, fixed)
-    full = (1 << image.n) - 1
-    domains = [full] * image.n
-    for x in members:
-        domains[x] = 1 << x
-    leaves = _SelfMapSearch(image, budget).leaves(domains)
+    leaves = _SelfMapSearch(image, budget).leaves(_fixing(image, fixed))
     count = sum(1 for _ in islice(leaves, cap + 1))
     return MapCount(count=count, exact=count <= cap)
+
+
+def random_continuous_map(
+    image: DigitalImage, fixed: Iterable[int] = (), seed: int = 0
+) -> Mapping:
+    """A seeded random continuous self-map fixing `fixed` pointwise.
+
+    The first leaf of the same search with `fixed` pinned, trying the values
+    of each branching vertex in an order shuffled by `seed`.  The identity is
+    a leaf, so one exists; a search that outruns the default budget raises
+    TimeoutError.
+    """
+    _require_connected(image)
+    rng = random.Random(seed)
+
+    def shuffled(mask: int) -> Iterator[int]:
+        values = list(bits(mask))
+        rng.shuffle(values)
+        return iter(values)
+
+    search = _SelfMapSearch(image, DEFAULT_BUDGET, shuffled)
+    return Mapping(image, image, next(search.leaves(_fixing(image, fixed))))

@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 from digitop import cli
 from digitop.cli import main
 from digitop.constructions import box, cone, simple_closed_curve
-from digitop.maps import fixed_points, is_continuous
-from digitop.serialization import (
-    complex_to_document,
-    document_to_complex,
-    witness_from_document,
-)
+from digitop.maps import Mapping, fixed_points, is_continuous
+from digitop.serialization import complex_to_document, document_to_complex
 from digitop.suite import naive_verdict
 
 
@@ -97,7 +93,7 @@ def test_verify_witness_revalidates(runner, tmp_path):
     )
     doc = json.loads(result.output)
     nc = document_to_complex(json.loads(q2.read_text()))
-    f = witness_from_document(doc, nc.image)
+    f = Mapping(nc.image, nc.image, tuple(doc["witness"]))
     assert is_continuous(f)
     assert nc.named_sets["W_2"] <= fixed_points(f)
     assert f.assignment != tuple(range(nc.image.n))
@@ -314,6 +310,35 @@ def test_verify_cold(runner, tmp_path):
         ["--quiet", "verify", "cold", "--image", str(cx), "--set", "X_base", "--s", "1"],
     )
     assert result.exit_code == 0
+    default = runner.invoke(
+        main, ["verify", "cold", "--image", str(cx), "--set", "X_base"]
+    )
+    assert default.exit_code == 0, default.output
+    assert json.loads(default.output)["params"] == {"s": 1}
+
+
+@pytest.mark.parametrize(
+    "prop, bounds, named",
+    [
+        ("freezing", ["--s", "5"], "--s"),
+        ("freezing", ["--s", "1"], "--s"),
+        ("freezing", ["--m", "1"], "--m"),
+        ("minimal", ["--m", "1", "--n", "1"], "--m"),
+        ("minimal", ["--n", "0"], "--n"),
+        ("minimal", ["--s", "2"], "--s"),
+        ("cold", ["--m", "0"], "--m"),
+        ("cold", ["--s", "1", "--n", "1"], "--n"),
+        ("limiting", ["--m", "1", "--n", "1", "--s", "2"], "--s"),
+    ],
+)
+def test_verify_rejects_bounds_the_property_does_not_read(
+    runner, tmp_path, prop, bounds, named
+):
+    sx = build(runner, tmp_path, "sx8", "suspension", "--base", "cycle", "--m", "8")
+    args = ["verify", prop, "--image", str(sx), "--set", "all-minus-U", *bounds]
+    result = runner.invoke(main, args)
+    _assert_usage_error(result)
+    assert f"{prop} does not read {named}" in result.output
 
 
 def test_minimal_command(runner, tmp_path):
@@ -437,6 +462,11 @@ def test_paper_suite_rejects_bad_rows(runner, rows, bad):
     _assert_usage_error(result)
     assert f"--rows term {bad!r} is not a suite row; valid rows are 1-13" in result.output
 
+
+def test_paper_suite_rejects_an_undefined_scale(runner):
+    result = runner.invoke(main, ["paper-suite", "--scale", "3"])
+    _assert_usage_error(result)
+    assert "scale must be 1 or 2" in result.output
 
 @pytest.mark.parametrize(
     "args, message",

@@ -35,7 +35,6 @@ from digitop.maps import (
     fixed_points,
     is_continuous,
     max_displacement,
-    random_continuous_map,
 )
 from digitop.suite import _small_bases, naive_distances, naive_verdict
 from digitop.verifier import (
@@ -48,6 +47,7 @@ from digitop.verifier import (
     is_limiting,
     is_minimal_freezing,
     is_s_cold,
+    random_continuous_map,
 )
 
 MAX_VERTICES = 8
@@ -274,6 +274,6 @@ def test_suspension_poles_lie_in_every_freezing_set(query):
         f = report.witness
         assert is_continuous(f)
         assert set(rest) <= fixed_points(f)
-        assert f(p) != p
+        assert f.assignment[p] != p
         if sx.image.n <= 9:
             assert naive_verdict(sx.image, "freezing", rest) == FAILS

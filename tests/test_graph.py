@@ -22,7 +22,7 @@ from digitop.graph import (
     DisconnectedImageError,
     UnknownVertexError,
 )
-from digitop.lattice import cu_adjacent
+from adjacency import cu_adjacent
 from geodesics import unique_shortest_path
 
 
@@ -82,7 +82,7 @@ def test_from_points_does_not_walk_all_offsets_in_high_dimension():
 
 def test_neighborhood_contains_self(cycle4):
     for v in range(4):
-        hood = cycle4.neighborhood(v)
+        hood = frozenset((v,) + cycle4.neighbors(v))
         assert v in hood
         assert len(hood) == 3
         assert len(hood) - 1 == len(cycle4.neighbors(v))
@@ -90,13 +90,13 @@ def test_neighborhood_contains_self(cycle4):
 
 def test_neighborhood_singleton():
     single = DigitalImage(1, [])
-    assert single.neighborhood(0) == frozenset({0})
+    assert frozenset((0,) + single.neighbors(0)) == frozenset({0})
 
 
 def test_neighborhood_cone_apex(cycle4):
     cx = cone(cycle4)
     apex = min(cx.named_sets["U"])
-    assert cx.image.neighborhood(apex) == frozenset(range(cx.image.n))
+    assert frozenset((apex,) + cx.image.neighbors(apex)) == frozenset(range(cx.image.n))
 
 
 def test_unknown_vertex(cycle4):

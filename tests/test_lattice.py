@@ -10,8 +10,8 @@ from digitop.lattice import (
     c1_boundary,
     c1_neighbors,
     check_point,
-    cu_adjacent,
 )
+from adjacency import cu_adjacent
 
 
 def test_cu_adjacent_examples():

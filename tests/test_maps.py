@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+import digitop
 from digitop.constructions import (
     box,
     cone,
@@ -18,8 +19,8 @@ from digitop.maps import (
     is_isomorphism,
     max_displacement,
     push_forward,
-    random_continuous_map,
 )
+from digitop.verifier import random_continuous_map
 from geodesics import unique_shortest_path
 from pulling import check_pulling
 
@@ -34,7 +35,7 @@ def test_mapping_validation():
 
 def test_identity_and_constant_are_continuous():
     img = pyramid(1).image
-    assert is_continuous(Mapping.identity(img))
+    assert is_continuous(Mapping(img, img, tuple(range(img.n))))
     assert is_continuous(Mapping(img, img, tuple([3] * img.n)))
 
 
@@ -46,7 +47,7 @@ def test_discontinuous_stretch():
 
 def test_fixed_points():
     p2 = pyramid(2).image
-    assert fixed_points(Mapping.identity(p2)) == frozenset(range(25))
+    assert fixed_points(Mapping(p2, p2, tuple(range(p2.n)))) == frozenset(range(25))
     cx = cone(simple_closed_curve(8).image)
     apex = min(cx.named_sets["U"])
     values = list(range(cx.image.n))
@@ -74,7 +75,7 @@ def test_max_displacement():
     assert is_continuous(f)
     assert max_displacement(f, {u}) == 2
     assert max_displacement(f) == 2
-    assert max_displacement(Mapping.identity(sx.image)) == 0
+    assert max_displacement(Mapping(sx.image, sx.image, tuple(range(sx.image.n)))) == 0
     assert max_displacement(f, set()) == 0
 
 
@@ -87,7 +88,7 @@ def test_max_displacement_rotation():
 def test_max_displacement_needs_connected():
     img = DigitalImage(2, [])
     with pytest.raises(DisconnectedImageError):
-        max_displacement(Mapping.identity(img))
+        max_displacement(Mapping(img, img, tuple(range(img.n))))
 
 
 def test_projection_is_isomorphism():
@@ -160,6 +161,16 @@ def test_random_map_on_a_large_box_does_not_recurse():
         assert set(fixed) <= fixed_points(f)
 
 
+
+def test_random_map_needs_a_connected_image():
+    with pytest.raises(DisconnectedImageError, match="requires a connected image"):
+        random_continuous_map(DigitalImage(2, []))
+
+
+def test_every_exported_name_resolves():
+    assert all(hasattr(digitop, name) for name in digitop.__all__)
+    assert digitop.random_continuous_map is random_continuous_map
+
 def test_composition_preserves_continuity():
     img = box([2, 2], 2).image
     for s in range(20):
@@ -174,7 +185,7 @@ def test_continuous_maps_are_nonexpansive():
         for s in range(20):
             f = random_continuous_map(img, seed=s)
             for x, y in combinations(range(img.n), 2):
-                fd = img.distance(f(x), f(y))
+                fd = img.distance(f.assignment[x], f.assignment[y])
                 assert fd <= img.distance(x, y)
 
 
@@ -205,7 +216,7 @@ def test_check_pulling():
     q2 = DigitalImage.from_points(
         sorted((a, b) for a in range(4) for b in range(4)), u=1
     )
-    assert check_pulling(Mapping.identity(q2))
+    assert check_pulling(Mapping(q2, q2, tuple(range(q2.n))))
     for s in range(50):
         assert check_pulling(random_continuous_map(q2, seed=s))
 
@@ -216,4 +227,4 @@ def test_check_pulling_preconditions():
         check_pulling(Mapping(img, img, (0, 2, 2)))
     abstract = simple_closed_curve(4).image
     with pytest.raises(ValueError):
-        check_pulling(Mapping.identity(abstract))
+        check_pulling(Mapping(abstract, abstract, tuple(range(abstract.n))))

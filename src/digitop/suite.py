@@ -1,16 +1,17 @@
 """The theorem-instance suite: one row per acceptance check, decided exactly.
 
-Each row replays a general theorem at desk scale (n = 1 or 2).  A row is a
-generator of checks, run by `_row`.  A check is a claim or a fact.  A claim,
-(label, image, members, property, params, expected), says that a named set
-of an image is or is not freezing, s-cold, (m,n)-limiting or minimal
-freezing.  A fact, (label, ok), is one the row computes itself.  `_row` asks
-each claim through `_ask` and sends the report back into the generator, so
-a row checks a witness with `(yield claim).witness`.  `_ask` calls the
-decider a property names, read as this module's global at call time, so a
-patched decider reaches every row that asks it.  Expected None means
-"whatever `naive_verdict` says": row 12 cross-checks the engine against
-that plain enumerator, kept independent of the bitset search.
+Each row replays a general theorem at desk scale: the pyramid rows 6-9 ask
+n = 1..scale, for a scale from 1 to 8, and the other rows ignore the scale.
+A row is a generator of checks, run by `_row`.  A check is a claim or a
+fact.  A claim, (label, image, members, property, params, expected), says
+that a named set of an image is or is not freezing, s-cold, (m,n)-limiting
+or minimal freezing.  A fact, (label, ok), is one the row computes itself.
+`_row` asks each claim through `_ask` and sends the report back into the
+generator, so a row checks a witness with `(yield claim).witness`.  `_ask`
+calls the decider a property names, read as this module's global at call
+time, so a patched decider reaches every row that asks it.  Expected None
+means "whatever `naive_verdict` says": row 12 cross-checks the engine
+against that plain enumerator, kept independent of the bitset search.
 """
 
 from __future__ import annotations
@@ -465,8 +466,8 @@ def run_suite(
     budget: SearchBudget = DEFAULT_BUDGET,
     only: Optional[Sequence[int]] = None,
 ) -> List[SuiteRow]:
-    if scale not in (1, 2):
-        raise ValueError("scale must be 1 or 2")
+    if not 1 <= scale <= 8:
+        raise ValueError("scale must be an integer from 1 to 8")
     rows: List[SuiteRow] = []
     for number, title, fn in ROWS:
         if only is not None and number not in only:

@@ -23,6 +23,17 @@ domain is a singleton, so the fixpoint makes it a continuous map.  Deciding
 takes the first leaf, enumeration counts leaves, and `random_continuous_map`
 takes the first leaf under a seeded value order.
 
+A limiting search first tries the root's lowest-value completion: the map
+sending each vertex to the lowest value left in its domain after root
+propagation.  If it escapes and is continuous, it is the witness, found in
+one node.  It is the first leaf of the walk, which tries values in
+ascending order: arc consistency never removes a value of a solution inside
+the domains, so every node on the walk's lowest-value path still contains
+it, stays viable and propagates without a wipeout, and its lowest values
+are the completion's.  So only the node and revision counts change.
+Enumeration and random maps do not try it: they want every leaf, or a leaf
+under another value order.
+
 The paper's unique-path and pulling lemmas are not engine rules, because
 the arc-consistency fixpoint already implies both:
 
@@ -46,6 +57,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from operator import and_
 from typing import (
     Callable,
     Dict,
@@ -231,26 +243,50 @@ class _SelfMapSearch:
                 return x
         return self.n
 
+    def _lowest_completion(self, dom: List[int]) -> Optional[Tuple[int, ...]]:
+        """The map sending each vertex to the lowest value in its domain, if
+        it escapes and is continuous, else None.  `dom` is a fixpoint, so an
+        edge with a singleton endpoint is already consistent and only the
+        edges at non-singleton domains are checked."""
+        low = [d & -d for d in dom]  # the lowest value, as a bit
+        if not any(map(and_, low, self.escape)):
+            return None
+        adj, nbhd = self.img._adj, self.img._nbhd_bits
+        for x, (dx, lx) in enumerate(zip(dom, low)):
+            if dx != lx:
+                around = nbhd[lx.bit_length() - 1]
+                if any(not low[y] & around for y in adj[x]):
+                    return None
+        return tuple(lx.bit_length() - 1 for lx in low)
+
     def leaves(self, domains: Sequence[int]) -> Iterator[Tuple[int, ...]]:
         """Every viable leaf within `domains`, depth first, children in
         `values` order; raises _BudgetExceeded when the budget runs out.  It
         branches in id order: a stack entry is (parent domains, branching
         vertex x, values left), and since domains only shrink along a path, a
-        child resumes the scan at x + 1."""
+        child resumes the scan at x + 1.  A limiting search first tries the
+        root's lowest-value completion, and yields only it when it escapes
+        and is continuous: it is then the walk's first leaf (see the module
+        docstring), and a limiting search wants no other."""
         dom = list(domains)
         full = (1 << self.n) - 1
         if not self._propagate(dom, [x for x, dx in enumerate(dom) if dx != full]):
             return
         stack: List[Tuple[List[int], int, Iterator[int]]] = []
         start = 0
+        probe = self.escape is not None  # at the root of a limiting search
         while True:
             self._tick()
             if self._viable(dom):
                 x = self._pick(dom, start)
-                if x < self.n:
-                    stack.append((dom, x, self.values(dom[x])))
-                else:
+                if x == self.n:
                     yield tuple(d.bit_length() - 1 for d in dom)
+                elif probe and (leaf := self._lowest_completion(dom)) is not None:
+                    yield leaf
+                    return
+                else:
+                    stack.append((dom, x, self.values(dom[x])))
+            probe = False
             while True:
                 if not stack:
                     return

@@ -85,6 +85,15 @@ def test_suite_covers_all_criteria():
     assert [number for number, _, _ in ROWS] == list(range(1, 14))
 
 
+def test_pyramid_rows_pass_at_scale_4():
+    # Rows 6-9 ask the pyramid families for n = 1..scale; the other rows
+    # ignore the scale.
+    rows = run_suite(scale=4, only=[6, 7, 8, 9])
+    assert [(row.number, row.status) for row in rows] == [
+        (6, "pass"), (7, "pass"), (8, "pass"), (9, "pass")
+    ]
+
+
 _DECIDERS = ("is_freezing", "is_s_cold", "is_limiting", "is_minimal_freezing")
 _FLIP = {HOLDS: FAILS, FAILS: HOLDS, UNKNOWN: UNKNOWN}
 

@@ -71,13 +71,11 @@ def test_verify_exit_codes(runner, tmp_path):
     report = json.loads(fails.output)
     assert report["verdict"] == "fails"
 
-    starved = runner.invoke(
-        main,
-        [
-            "--budget-nodes", "1", "--quiet",
-            "verify", "freezing", "--image", str(q2), "--set", "W_2",
-        ],
-    )
+    # W_2 is refuted at the root, in one node; the upper half of H_2 needs 3.
+    h2 = build(runner, tmp_path, "h2", "bipyramid", "--n", "2")
+    upper = ["verify", "freezing", "--image", str(h2), "--set", "upper"]
+    assert runner.invoke(main, ["--quiet", *upper]).exit_code == 1
+    starved = runner.invoke(main, ["--budget-nodes", "1", "--quiet", *upper])
     assert starved.exit_code == 3
 
     bad = runner.invoke(
@@ -464,9 +462,9 @@ def test_paper_suite_rejects_bad_rows(runner, rows, bad):
 
 
 def test_paper_suite_rejects_an_undefined_scale(runner):
-    result = runner.invoke(main, ["paper-suite", "--scale", "3"])
+    result = runner.invoke(main, ["paper-suite", "--scale", "9"])
     _assert_usage_error(result)
-    assert "scale must be 1 or 2" in result.output
+    assert "scale must be an integer from 1 to 8" in result.output
 
 @pytest.mark.parametrize(
     "args, message",

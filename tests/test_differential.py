@@ -9,14 +9,17 @@ domination) and the engine's displacement balls must agree with
 and disconnected graphs.  The cone and suspension theorems are replayed on
 random bases.  The engine's arc-consistency fixpoint, domains and
 wipeout alike, must equal a naive one that revises every edge until
-nothing changes.  Query graphs have at most 8 vertices and degree at most 3:
-the oracle enumerates continuous maps vertex by vertex, so this bounds its
-work by 8 * 4^7 maps per query (a star on 8 vertices alone has more than 2
-million).
+nothing changes.  Switching off the root's lowest-value completion must
+change no answer and can only add nodes, on graphs of up to 11 vertices
+that no oracle reads.  The oracle's query graphs have at most 8 vertices
+and degree at most 3: the oracle enumerates continuous maps vertex by
+vertex, so this bounds its work by 8 * 4^7 maps per query (a star on 8
+vertices alone has more than 2 million).
 """
 
 import math
 from itertools import islice
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -48,6 +51,7 @@ from digitop.verifier import (
     is_minimal_freezing,
     is_s_cold,
     random_continuous_map,
+    search_minimal_freezing,
 )
 
 MAX_VERTICES = 8
@@ -62,22 +66,22 @@ bounded = settings(
 
 
 @st.composite
-def connected_queries(draw):
+def connected_queries(draw, max_vertices=MAX_VERTICES, max_degree=MAX_DEGREE):
     """A connected graph with a random subset of its vertices."""
-    n = draw(st.integers(1, MAX_VERTICES))
+    n = draw(st.integers(1, max_vertices))
     degree = [0] * n
     edges = set()
 
     def add(a, b):
         if a != b and (min(a, b), max(a, b)) not in edges:
-            if degree[a] < MAX_DEGREE and degree[b] < MAX_DEGREE:
+            if degree[a] < max_degree and degree[b] < max_degree:
                 edges.add((min(a, b), max(a, b)))
                 degree[a] += 1
                 degree[b] += 1
 
     for v in range(1, n):
         # v - 1 has degree 1 when v joins, so a parent always exists.
-        add(draw(st.sampled_from([u for u in range(v) if degree[u] < MAX_DEGREE])), v)
+        add(draw(st.sampled_from([u for u in range(v) if degree[u] < max_degree])), v)
     vertex = st.integers(0, n - 1)
     for a, b in draw(st.lists(st.tuples(vertex, vertex), max_size=n)):
         add(a, b)
@@ -132,6 +136,33 @@ def test_random_maps_are_continuous_fix_their_set_and_repeat_per_seed(query, see
     assert is_continuous(f)
     assert set(fixed) <= fixed_points(f)
     assert random_continuous_map(image, fixed, seed) == f
+
+
+def _limiting_answers(image, subset, m, n):
+    """(answer, nodes) of the limiting, minimal-freezing and minimal-search
+    queries on subset; an answer is the verdict, witness and detail, or the
+    found set."""
+    out = []
+    for report in (is_limiting(image, subset, m, n), is_minimal_freezing(image, subset)):
+        witness = report.witness and report.witness.assignment
+        out.append(((report.verdict, witness, report.detail), report.nodes_expanded))
+    found = search_minimal_freezing(image)
+    out.append(((found.status, found.members), found.nodes))
+    return out
+
+
+@bounded
+@given(connected_queries(max_vertices=11, max_degree=10), st.integers(0, 2), st.integers(0, 2))
+def test_the_root_completion_changes_no_answer(query, m, n):
+    """The root's lowest-value completion, when it escapes, is the walk's
+    first leaf: the same answers come without it, in no fewer nodes."""
+    image, subset = query
+    probed = _limiting_answers(image, subset, m, n)
+    with patch.object(_SelfMapSearch, "_lowest_completion", lambda self, dom: None):
+        walked = _limiting_answers(image, subset, m, n)
+    for (answer, nodes), (walked_answer, walked_nodes) in zip(probed, walked):
+        assert answer == walked_answer
+        assert nodes <= walked_nodes
 
 
 def naive_arc_consistency(image, domains):

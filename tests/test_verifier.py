@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from digitop.cli import main
 from digitop.constructions import (
+    bipyramid,
     box,
     cone,
     interval,
@@ -255,9 +256,12 @@ def test_reports_are_deterministic():
 
 
 def test_budget_exhaustion_is_unknown():
-    q2 = solid_pyramid(2)
+    # The upper half of H_2 does not freeze it, and the search needs 3 nodes
+    # to show it: the root's lowest-value completion is the identity.
+    h2 = bipyramid(2)
+    assert is_freezing(h2.image, h2.named_sets["upper"]).nodes_expanded == 3
     starved = is_freezing(
-        q2.image, q2.named_sets["W_2"], SearchBudget(max_nodes=1)
+        h2.image, h2.named_sets["upper"], SearchBudget(max_nodes=1)
     )
     assert starved.verdict == UNKNOWN
     assert starved.witness is None
@@ -290,21 +294,44 @@ def _assert_freezing_witness(image, members, report):
 
 
 def test_long_witness_on_cycle_does_not_recurse():
-    # The witness assigns every vertex, one DFS node each: 1,199 levels deep.
+    # The witness assigns each of the 1,198 free vertices, one DFS node
+    # each: 1,198 levels deep.  With the two highest ids pinned, the root's
+    # lowest-value completion is not continuous, so the search walks.
     c = simple_closed_curve(1200).image
-    report = is_freezing(c, [0, 1])
+    report = is_freezing(c, [1198, 1199])
     assert report.verdict == FAILS
-    assert report.nodes_expanded == 1199
-    _assert_freezing_witness(c, [0, 1], report)
+    assert report.nodes_expanded == 1198
+    _assert_freezing_witness(c, [1198, 1199], report)
 
 
 def test_long_witness_on_box_does_not_recurse():
-    b = box([32, 32], 1)
-    corner = min(b.named_sets["corners"])
+    # The far corner of [0,14]^3 under c_2: no branch is refuted on the way,
+    # so the 1,148 nodes are 1,148 levels.  The root's lowest-value
+    # completion is not continuous here.
+    b = box([14, 14, 14], 2)
+    corner = max(b.named_sets["corners"])
     report = is_freezing(b.image, [corner])
     assert report.verdict == FAILS
-    assert report.nodes_expanded == 1089
+    assert report.nodes_expanded == 1148
+    assert report.pruning_stats["wipeouts"] == report.pruning_stats["viability_pruned"] == 0
     _assert_freezing_witness(b.image, [corner], report)
+
+
+def test_the_root_completion_answers_in_one_node():
+    # After root propagation the map sending each vertex to the lowest value
+    # in its domain escapes and is continuous, so it is the witness: the one
+    # node is the root.
+    c = simple_closed_curve(1200).image
+    b32 = box([32, 32], 1)
+    b16 = box([16, 16], 2)
+    corners16 = sorted(b16.named_sets["corners"])
+    cases = [(c, [0, 1]), (b16.image, [x for x in corners16 if x != 288])]
+    cases += [(b32.image, [corner]) for corner in sorted(b32.named_sets["corners"])]
+    for image, members in cases:
+        report = is_freezing(image, members)
+        assert report.verdict == FAILS
+        assert report.nodes_expanded == 1
+        _assert_freezing_witness(image, members, report)
 
 
 def _best_of_three_ms(query, verdict):
@@ -347,7 +374,7 @@ def test_a_radius_past_the_diameter_is_answered_within_the_budget():
 
 
 def test_time_budget_is_kept_in_root_propagation_and_search():
-    # Unbudgeted, the freezing query searches C_3000 for about 6 s, and the
+    # Unbudgeted, the freezing query searches C_3000 for about 3.8 s, and the
     # s-cold query spends 1.1-1.2 s in root propagation on [0,21]^3 under
     # c_1 before it answers holds at the root: several times the bound, so a
     # propagation that never reads the clock fails every run.
@@ -357,20 +384,21 @@ def test_time_budget_is_kept_in_root_propagation_and_search():
     b22 = box([22, 22, 22], 1)
     corners = sorted(b22.named_sets["corners"])
     for query in (
-        lambda: is_freezing(c3000, [0, 1], budget).verdict,
+        lambda: is_freezing(c3000, [2998, 2999], budget).verdict,
         lambda: is_s_cold(b22.image, corners, 1, budget).verdict,
     ):
         assert _best_of_three_ms(query, UNKNOWN) <= budget.max_millis + slack_ms
 
 
 def test_node_cap_counts_only_expanded_nodes():
-    # The refutation of {0,1} on C_400 expands 399 nodes, one per vertex.
+    # The refutation of {398,399} on C_400 expands 398 nodes, one per
+    # vertex it assigns; {0,1} is refuted at the root.
     c = simple_closed_curve(400).image
-    assert is_freezing(c, [0, 1]).nodes_expanded == 399
-    for cap, verdict in ((50, UNKNOWN), (398, UNKNOWN), (399, FAILS)):
-        report = is_freezing(c, [0, 1], SearchBudget(max_nodes=cap))
+    assert is_freezing(c, [398, 399]).nodes_expanded == 398
+    for cap, verdict in ((50, UNKNOWN), (397, UNKNOWN), (398, FAILS)):
+        report = is_freezing(c, [398, 399], SearchBudget(max_nodes=cap))
         assert report.verdict == verdict
-        assert report.nodes_expanded == min(cap, 399)
+        assert report.nodes_expanded == min(cap, 398)
 
 
 def test_search_branches_on_the_lowest_free_vertex_id():
@@ -378,12 +406,11 @@ def test_search_branches_on_the_lowest_free_vertex_id():
     # singleton, wherever the pinned vertices lie; these exact counts pin
     # that order.
     c600, c60 = simple_closed_curve(600).image, simple_closed_curve(60).image
-    b = box([16, 16], 2)
-    corners = sorted(b.named_sets["corners"])
+    c400 = simple_closed_curve(400).image
     for report, nodes in (
         (is_freezing(c600, [300, 301]), 4),
         (is_s_cold(c60, [30, 31], 1), 4),
-        (is_freezing(b.image, corners[1:]), 76),
+        (is_freezing(c400, [266, 267]), 134),
     ):
         assert report.verdict == FAILS
         assert report.nodes_expanded == nodes
@@ -440,9 +467,9 @@ def test_reports_count_arc_revisions(tmp_path):
     p2, q5 = pyramid(2), solid_pyramid(5)
     for report, nodes, revisions in (
         (is_s_cold(b60.image, b60.named_sets["corners"], 1), 1, 14_045),
-        (is_minimal_freezing(p2.image, p2.named_sets["T_2"]), 40, 473),
+        (is_minimal_freezing(p2.image, p2.named_sets["T_2"]), 31, 464),
         (is_minimal_freezing(q5.image, q5.named_sets["U"] | q5.named_sets["W_5"]),
-         509, 52_651),
+         323, 52_335),
     ):
         assert report.verdict == HOLDS
         assert (report.nodes_expanded, report.revisions) == (nodes, revisions)
@@ -457,7 +484,7 @@ def test_reports_count_arc_revisions(tmp_path):
     )
     assert verified.exit_code == 0, verified.output
     printed = json.loads((tmp_path / "report.json").read_text())
-    assert (printed["nodes_expanded"], printed["revisions"]) == (40, 473)
+    assert (printed["nodes_expanded"], printed["revisions"]) == (31, 464)
 
 
 def test_a_wipeout_refutes_a_branch():

@@ -38,33 +38,29 @@ def _ids(image: DigitalImage, points: Iterable[Point]) -> FrozenSet[int]:
     return frozenset(image.vertex_at(p) for p in points)
 
 
-def _boundary_set(image: DigitalImage, d: int) -> FrozenSet[int]:
-    return _ids(image, c1_boundary(image.coords, d))
-
-
 def interval(a: int, b: int) -> NamedComplex:
     """The digital interval [a, b]_Z with c_1 adjacency."""
     if a > b:
         raise ValueError(f"require a <= b, got [{a}, {b}]")
     image = DigitalImage.from_points([(k,) for k in range(a, b + 1)], u=1)
-    return NamedComplex(
-        image,
-        {
-            "corners": _ids(image, [(a,), (b,)]),
-            "Bd": _boundary_set(image, 1),
-        },
-    )
+    ends = _ids(image, [(a,), (b,)])
+    return NamedComplex(image, {"corners": ends, "Bd": ends})
 
 
 def box(extents: Sequence[int], u: int) -> NamedComplex:
     """The box Prod_i [0, m_i]_Z with c_u adjacency, corners and Bd named."""
     if not extents or any(m < 1 for m in extents):
         raise ValueError("extents must be positive integers")
-    d = len(extents)
-    points = list(product(*[range(m + 1) for m in extents]))
-    image = DigitalImage.from_points(points, u=u)
+    image = DigitalImage.from_points(list(product(*[range(m + 1) for m in extents])), u=u)
     corners = _ids(image, product(*[(0, m) for m in extents]))
-    return NamedComplex(image, {"corners": corners, "Bd": _boundary_set(image, d)})
+    # Bd is every point with some coordinate at 0 or m_i.  Ids follow the
+    # row-major order of `product`, so the interior's ids are its points
+    # read as mixed-radix numbers of radices m_i + 1.
+    interior = [0]
+    for m in extents:
+        interior = [i * (m + 1) + c for i in interior for c in range(1, m)]
+    bd = frozenset(range(image.n)).difference(interior)
+    return NamedComplex(image, {"corners": corners, "Bd": bd})
 
 
 def simple_closed_curve(m: int) -> NamedComplex:
@@ -200,7 +196,7 @@ def _pyramid_family(
     if level is _solid_level:
         for i in range(n if mirror else 0, n + 1):
             named[f"W_{i}"] = _ids(image, _solid_level(i, n - i))
-    named["Bd"] = _boundary_set(image, 3)
+    named["Bd"] = _ids(image, c1_boundary(image.coords, 3))
     return NamedComplex(image, named)
 
 

@@ -2,8 +2,11 @@
 
 The canonical representation is an explicit symmetric edge set over vertex
 ids 0..N-1.  Images built from lattice points remember (u, dimension) so that
-coordinate-aware reasoning (the boundary Bd) knows it applies; their c_u
-edges come from the {point: id} index, so no pair of points is tested.
+coordinate-aware reasoning (the boundary Bd) knows it applies.  Their c_u
+edges come from integer keys, one per point (see `lattice.keyed_points`):
+whole lists of candidate keys grow a coordinate at a time and are looked up
+in the set of keys that points have, so no pair of points is tested and no
+tuple is built per candidate.
 Every distance comes from one dilation, N*(mask): `rings` yields the
 vertices at distance 0, 1, 2, ... from a mask, and connectivity, distance,
 diameter and domination read them.  There is no distance matrix.
@@ -24,9 +27,10 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict
+from itertools import compress
 from typing import DefaultDict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .lattice import Point, check_point
+from .lattice import Point, keyed_points
 
 INF = math.inf
 
@@ -90,10 +94,11 @@ class DigitalImage:
             raise ValueError("labels length must equal vertex count")
         self.u = u
         self.dimension = dimension
-        present = [p for p in self.coords if p is not None]
-        if len(set(present)) != len(present):
+        self._point_index = dict(zip(self.coords, range(n)))
+        self._point_index.pop(None, None)
+        if len(self._point_index) != n - self.coords.count(None):
             raise ValueError("coordinate-backed vertices must be distinct points")
-        if dimension is not None and any(len(p) != dimension for p in present):
+        if dimension is not None and set(map(len, self._point_index)) - {dimension}:
             raise ValueError("all coordinates must match the image dimension")
         self._adj: List[Tuple[int, ...]] = self._build_adj()
         self._nbhd_bits: List[int] = [
@@ -101,7 +106,6 @@ class DigitalImage:
         ]
         self._build_shifts()
         self._connected: Optional[bool] = None
-        self._point_index = {p: i for i, p in enumerate(self.coords) if p is not None}
 
     # -- constructors ------------------------------------------------------
 
@@ -115,29 +119,52 @@ class DigitalImage:
         """Materialize the c_u image on a finite set of lattice points.
 
         A c_u neighbour differs by 0 or ±1 in each coordinate and by ±1 in
-        1..u of them.  Candidates grow a coordinate at a time and keep only
-        prefixes some point has, rather than walking all 3^d offsets."""
+        1..u of them.  The points are keyed in mixed radix (see `lattice`),
+        and candidate keys grow a coordinate at a time for all points at
+        once, kept only while some point has that prefix, rather than
+        walking all 3^d offsets.  Only lexicographically forward neighbours
+        grow (the first coordinate that changes steps +1), so each edge is
+        made once."""
         if not points:
+            if u < 1:
+                raise ValueError(f"require u >= 1, got u={u}")
             return cls(0, [], u=u)
         d = len(points[0])
-        pts = [check_point(p, d) for p in points]
         if not 1 <= u <= d:
             raise ValueError(f"require 1 <= u <= {d}, got u={u}")
-        index = {p: i for i, p in enumerate(pts)}
-        prefixes = [{p[:k] for p in index} for k in range(d + 1)]
-        edges = []
-        for i, p in enumerate(pts):
-            grown = [((), 0)]  # (prefix, coordinates changed so far)
-            for k, c in enumerate(p):
-                present = prefixes[k + 1]
-                grown = [
-                    (t, changed + (step != 0))
-                    for q, changed in grown
-                    for step in ((0, -1, 1) if changed < u else (0,))
-                    if (t := q + (c + step,)) in present
-                ]
-            edges += [(i, index[q]) for q, changed in grown if changed and index[q] > i]
-        return cls(len(pts), edges, coords=pts, labels=labels, u=u, dimension=d)
+        pts, digits, strides = keyed_points(points, d)
+        n = len(pts)
+        # ids[c] and keys[c]: (point, candidate prefix) pairs with c coordinates changed.
+        ids: List[List[int]] = [list(range(n))] + [[] for _ in range(u)]
+        keys: List[List[int]] = [[0] * n] + [[] for _ in range(u)]
+        prefix = [0] * n
+        for own, stride in zip(digits, strides):
+            prefix = list(map(operator.add, prefix, own))
+            present = set(prefix)
+            grown_ids: List[List[int]] = [[] for _ in range(u + 1)]
+            grown_keys: List[List[int]] = [[] for _ in range(u + 1)]
+            for changed in range(u + 1):
+                stay = list(map(operator.add, keys[changed], map(own.__getitem__, ids[changed])))
+                if changed == u:
+                    steps: Tuple[int, ...] = (0,)
+                elif changed == 0:
+                    steps = (0, stride)  # forward: the first change is +1
+                else:
+                    steps = (0, -stride, stride)
+                for step in steps:
+                    candidates = list(map(step.__add__, stay)) if step else stay
+                    hit = list(map(present.__contains__, candidates))
+                    to = changed + (step != 0)
+                    grown_ids[to] += compress(ids[changed], hit)
+                    grown_keys[to] += compress(candidates, hit)
+            ids, keys = grown_ids, grown_keys
+        index = dict(zip(prefix, range(n)))
+        edges = [
+            edge
+            for changed in range(1, u + 1)
+            for edge in zip(ids[changed], map(index.__getitem__, keys[changed]))
+        ]
+        return cls(n, edges, coords=pts, labels=labels, u=u, dimension=d)
 
     # -- basic queries -----------------------------------------------------
 

@@ -1,9 +1,10 @@
-"""The c_u adjacency written pair by pair, as an oracle for the edges that
-`DigitalImage.from_points` builds from its point index."""
+"""The c_u adjacency written pair by pair, and the c_1 boundary written
+neighbour by neighbour, as oracles for the integer-keyed passes of
+`DigitalImage.from_points` and `lattice.c1_boundary`."""
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence, Set
 
-from digitop.lattice import DimensionMismatchError, check_point
+from digitop.lattice import DimensionMismatchError, Point, check_point
 
 
 def cu_adjacent(p: Sequence[int], q: Sequence[int], u: int) -> bool:
@@ -23,3 +24,16 @@ def cu_adjacent(p: Sequence[int], q: Sequence[int], u: int) -> bool:
         elif diff != 0:
             return False
     return 1 <= changed <= u
+
+
+def c1_neighbors(p: Point) -> Iterator[Point]:
+    """The 2d lattice points c_1-adjacent to p."""
+    for i, c in enumerate(p):
+        yield p[:i] + (c - 1,) + p[i + 1 :]
+        yield p[:i] + (c + 1,) + p[i + 1 :]
+
+
+def naive_c1_boundary(points: Iterable[Sequence[int]], d: int) -> Set[Point]:
+    """The members of the set with one of their 2d c_1-neighbours outside it."""
+    pts = {check_point(p, d) for p in points}
+    return {p for p in pts if any(q not in pts for q in c1_neighbors(p))}

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from digitop.constructions import (
@@ -13,6 +15,7 @@ from digitop.constructions import (
     suspension,
 )
 from digitop.graph import DigitalImage
+from digitop.lattice import c1_boundary
 
 
 def test_interval():
@@ -23,6 +26,10 @@ def test_interval():
     assert i.n == 5 and i.diameter() == 4
     with pytest.raises(ValueError):
         interval(1, 0)
+    for a, b in ((-2, 2), (5, 5)):
+        nc = interval(a, b)
+        assert nc.set_named("Bd") == nc.set_named("corners") == {0, b - a}
+        assert {nc.image.coords[x] for x in nc.set_named("Bd")} == c1_boundary(nc.image.coords, 1)
 
 
 def test_box():
@@ -36,6 +43,17 @@ def test_box():
     assert (tiny.n, len(tiny.edges)) == (2, 1)
     with pytest.raises(ValueError):
         box([2, 2], 3)
+
+
+@pytest.mark.parametrize("extents", [[1], [4], [1, 1], [1, 3], [3, 2], [2, 1, 3], [3, 3, 3]])
+def test_box_bd_and_corners_match_their_definitions(extents):
+    for u in range(1, len(extents) + 1):
+        nc = box(extents, u)
+        image = nc.image
+        bd = c1_boundary(image.coords, len(extents))
+        assert nc.set_named("Bd") == {image.vertex_at(p) for p in bd}
+        ends = product(*[(0, m) for m in extents])
+        assert nc.set_named("corners") == {image.vertex_at(p) for p in ends}
 
 
 def test_simple_closed_curve():

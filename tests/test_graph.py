@@ -2,6 +2,7 @@ import math
 import random
 import time
 from itertools import combinations
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from digitop.graph import (
     DisconnectedImageError,
     UnknownVertexError,
 )
+from digitop.lattice import MAX_COORD, DimensionMismatchError
 from adjacency import cu_adjacent
 from geodesics import unique_shortest_path
 
@@ -45,9 +47,13 @@ def test_rejects_duplicate_points():
 
 @st.composite
 def point_sets(draw):
+    """Distinct points of Z^1..Z^4 in any order, each coordinate near 0 or
+    within 4 of ±MAX_COORD, with an index u of their dimension."""
     d = draw(st.integers(1, 4))
     point = st.tuples(*[st.integers(-2, 2)] * d)
-    return sorted(draw(st.sets(point, min_size=1, max_size=30))), draw(st.integers(1, d))
+    points = draw(st.permutations(sorted(draw(st.sets(point, min_size=1, max_size=30)))))
+    shift = draw(st.tuples(*[st.sampled_from([0, MAX_COORD - 2, 2 - MAX_COORD])] * d))
+    return [tuple(map(add, p, shift)) for p in points], draw(st.integers(1, d))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -60,6 +66,20 @@ def test_from_points_edges_equal_pairwise_cu_adjacency(case):
         if cu_adjacent(points[i], points[j], u)
     }
     assert DigitalImage.from_points(points, u).edges == expected
+
+
+def test_from_points_checks_its_input_on_every_point_set():
+    assert DigitalImage.from_points([], u=1).n == 0
+    with pytest.raises(ValueError, match="got u=0"):
+        DigitalImage.from_points([], u=0)
+    with pytest.raises(ValueError, match="require 1 <= u <= 2, got u=0"):
+        DigitalImage.from_points([(0, 0)], u=0)
+    with pytest.raises(ValueError, match="require 1 <= u <= 2, got u=3"):
+        DigitalImage.from_points([(0, 0)], u=3)
+    with pytest.raises(DimensionMismatchError, match="expected dimension 2"):
+        DigitalImage.from_points([(0, 0), (1, 0, 0)], u=1)
+    with pytest.raises(ValueError, match="coordinate magnitude exceeds"):
+        DigitalImage.from_points([(0, 0), (0, -MAX_COORD - 1)], u=1)
 
 
 def _build_seconds(points, u):

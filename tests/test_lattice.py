@@ -1,17 +1,16 @@
 from typing import Sequence
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from digitop.constructions import box
 from digitop.graph import DigitalImage
 from digitop.lattice import (
     DimensionMismatchError,
     c1_boundary,
-    c1_neighbors,
     check_point,
 )
-from adjacency import cu_adjacent
+from adjacency import c1_neighbors, cu_adjacent, naive_c1_boundary
 
 
 def test_cu_adjacent_examples():
@@ -128,6 +127,21 @@ def test_c1_boundary_empty():
 def test_c1_boundary_subset_of_input():
     points = [(0, 0), (1, 0), (5, 5)]
     assert c1_boundary(points, 2) <= set(points)
+
+
+@st.composite
+def point_lists(draw):
+    """Points of Z^1..Z^4 with negative coordinates, in any order, repeats
+    allowed, the empty list included, with their dimension."""
+    d = draw(st.integers(1, 4))
+    return draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=40)), d
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(point_lists())
+def test_c1_boundary_equals_the_neighbour_oracle(case):
+    points, d = case
+    assert c1_boundary(points, d) == naive_c1_boundary(points, d)
 
 
 def test_check_point_rejects_huge_coordinates():

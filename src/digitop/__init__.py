@@ -34,7 +34,6 @@ from .verifier import (
     is_limiting,
     is_minimal_freezing,
     is_s_cold,
-    random_continuous_map,
     search_minimal_freezing,
 )
 from .serialization import (
@@ -79,7 +78,6 @@ __all__ = [
     "is_limiting",
     "is_minimal_freezing",
     "is_s_cold",
-    "random_continuous_map",
     "search_minimal_freezing",
     "complex_to_document",
     "document_to_complex",

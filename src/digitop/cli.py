@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import sys
+import traceback
 from pathlib import Path
 from typing import List, Optional
 
@@ -37,6 +38,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
+EXIT_CRASH = 4
 
 
 @click.group()
@@ -335,5 +337,15 @@ def cmd_paper_suite(ctx, scale, rows):
     ctx.exit(EXIT_HOLDS)
 
 
+def run() -> None:
+    """The installed entry point: `main`, except that an exception escaping
+    it prints its traceback on stderr and exits 4, since 1 means `fails`."""
+    try:
+        main()
+    except Exception:
+        traceback.print_exc()
+        sys.exit(EXIT_CRASH)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    run()

@@ -1,5 +1,5 @@
 """Functions between digital images: continuity, fixed points, displacement
-and isomorphisms.  Seeded random self-maps are `verifier.random_continuous_map`."""
+and isomorphisms."""
 
 from __future__ import annotations
 

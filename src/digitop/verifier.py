@@ -11,17 +11,19 @@ neighbourhood at a time until the radius or the diameter is reached.
 The engine is one walk, `_SelfMapSearch.leaves`: root propagation, then a
 depth-first search over bitset domains on an explicit stack, with arc
 consistency (AC-3) to a fixpoint at every node and a viability check that
-cuts subtrees in which no vertex can still escape.  Propagation keeps a
-first-in first-out worklist that holds each vertex at most once: revising x
-intersects every neighbour's domain with N*(dom(x)), and a narrowed
-neighbour joins the worklist unless it is waiting there.  It starts from the
-vertices whose domain is not full (at the root) or from the branching vertex
-(at a node): a full domain dilates to the full set and narrows nothing.  The
-fixpoint does not depend on the revision order.  It branches on the first
-vertex, in id order, whose domain is not a singleton.  At a leaf every
-domain is a singleton, so the fixpoint makes it a continuous map.  Deciding
-takes the first leaf, enumeration counts leaves, and `random_continuous_map`
-takes the first leaf under a seeded value order.
+cuts subtrees in which no vertex can still leave its n-ball.  Propagation
+keeps a first-in first-out worklist that holds each vertex at most once:
+revising x intersects every neighbour's domain with N*(dom(x)), and a
+narrowed neighbour joins the worklist unless it is waiting there.  It starts
+from the vertices whose domain is not full (at the root) or from the
+branching vertex (at a node): a full domain dilates to the full set and
+narrows nothing.  The fixpoint does not depend on the revision order.  It
+branches on the first vertex, in id order, whose domain is not a singleton,
+and tries its values in ascending order.  At a leaf every domain is a
+singleton, so the fixpoint makes it a continuous map.  Deciding takes the
+first leaf and enumeration counts leaves.  The search keeps only balls: a
+member's B(x,m) and the B(v,n) that some vertex must leave, one shared list
+when n == m.
 
 A limiting search first tries the root's lowest-value completion: the map
 sending each vertex to the lowest value left in its domain after root
@@ -31,8 +33,7 @@ ascending order: arc consistency never removes a value of a solution inside
 the domains, so every node on the walk's lowest-value path still contains
 it, stays viable and propagates without a wipeout, and its lowest values
 are the completion's.  So only the node and revision counts change.
-Enumeration and random maps do not try it: they want every leaf, or a leaf
-under another value order.
+Enumeration does not try it: it wants every leaf.
 
 The paper's unique-path and pulling lemmas are not engine rules, because
 the arc-consistency fixpoint already implies both:
@@ -52,14 +53,12 @@ too.
 
 from __future__ import annotations
 
-import random
 import time
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from operator import and_
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -136,23 +135,17 @@ class MinimalSearchResult:
 class _SelfMapSearch:
     """One query's complete DFS over continuous self-maps with bitset
     domains: its searches share one deadline, node count, stats and memo.  A
-    limiting query calls `limit`, which sets `reach` and `escape`: each
-    member x must map into reach[x], and some vertex v into escape[v]."""
+    limiting query calls `limit`, which sets the balls `reach` and `far`:
+    each member x must map into reach[x], and some vertex v outside far[v]."""
 
-    def __init__(
-        self,
-        image: DigitalImage,
-        budget: SearchBudget,
-        values: Callable[[int], Iterator[int]] = bits,
-    ) -> None:
+    def __init__(self, image: DigitalImage, budget: SearchBudget) -> None:
         self.t0 = time.monotonic()
         self._deadline = self.t0 + budget.max_millis / 1000
         self.img = image
         self.n = image.n
         self.budget = budget
-        self.values = values
         self.reach: Sequence[int] = ()
-        self.escape: Optional[Sequence[int]] = None
+        self.far: Optional[Sequence[int]] = None  # None: not a limiting search
         self.nodes = 0
         self.revisions = 0  # arc revisions: one per vertex taken off the queue
         # The benchmark reports one figure per key, so the key set is fixed.
@@ -171,9 +164,7 @@ class _SelfMapSearch:
         some vertex must move more than n.  The balls are built on the
         query's clock; raises _BudgetExceeded."""
         self.reach = _balls(self.img, m, self._deadline)
-        n_balls = self.reach if n == m else _balls(self.img, n, self._deadline)
-        full = (1 << self.n) - 1
-        self.escape = [full & ~ball for ball in n_balls]
+        self.far = self.reach if n == m else _balls(self.img, n, self._deadline)
 
     # -- propagation -------------------------------------------------------
 
@@ -217,12 +208,11 @@ class _SelfMapSearch:
             self.revisions += revisions
 
     def _viable(self, dom: List[int]) -> bool:
-        """In counterexample mode: can any completion still escape?"""
-        if self.escape is None:
+        """In a limiting search: can some vertex still leave its n-ball?"""
+        if self.far is None:
             return True
-        esc = self.escape
-        for x in range(self.n):
-            if dom[x] & esc[x]:
+        for dx, ball in zip(dom, self.far):
+            if dx & ball != dx:
                 return True
         self.stats["viability_pruned"] += 1
         return False
@@ -249,7 +239,7 @@ class _SelfMapSearch:
         edge with a singleton endpoint is already consistent and only the
         edges at non-singleton domains are checked."""
         low = [d & -d for d in dom]  # the lowest value, as a bit
-        if not any(map(and_, low, self.escape)):
+        if all(map(and_, low, self.far)):
             return None
         adj, nbhd = self.img._adj, self.img._nbhd_bits
         for x, (dx, lx) in enumerate(zip(dom, low)):
@@ -261,7 +251,7 @@ class _SelfMapSearch:
 
     def leaves(self, domains: Sequence[int]) -> Iterator[Tuple[int, ...]]:
         """Every viable leaf within `domains`, depth first, children in
-        `values` order; raises _BudgetExceeded when the budget runs out.  It
+        ascending order; raises _BudgetExceeded when the budget runs out.  It
         branches in id order: a stack entry is (parent domains, branching
         vertex x, values left), and since domains only shrink along a path, a
         child resumes the scan at x + 1.  A limiting search first tries the
@@ -274,7 +264,7 @@ class _SelfMapSearch:
             return
         stack: List[Tuple[List[int], int, Iterator[int]]] = []
         start = 0
-        probe = self.escape is not None  # at the root of a limiting search
+        probe = self.far is not None  # at the root of a limiting search
         while True:
             self._tick()
             if self._viable(dom):
@@ -285,13 +275,13 @@ class _SelfMapSearch:
                     yield leaf
                     return
                 else:
-                    stack.append((dom, x, self.values(dom[x])))
+                    stack.append((dom, x, bits(dom[x])))
             probe = False
             while True:
                 if not stack:
                     return
-                parent, x, values = stack[-1]
-                v = next(values, None)
+                parent, x, left = stack[-1]
+                v = next(left, None)
                 if v is None:
                     stack.pop()
                     continue
@@ -303,8 +293,8 @@ class _SelfMapSearch:
 
     def counterexample(self, members: List[int]) -> Optional[Mapping]:
         """A continuous self-map sending each member x into reach[x] and some
-        vertex v into escape[v], or None; raises _BudgetExceeded.  It is the
-        first leaf: a leaf that does not escape is not viable."""
+        vertex v outside far[v], or None; raises _BudgetExceeded.  It is the
+        first leaf: a leaf with every v inside far[v] is not viable."""
         domains = [(1 << self.n) - 1] * self.n
         for x in members:
             domains[x] = self.reach[x]
@@ -315,7 +305,7 @@ class _SelfMapSearch:
         if (
             not is_continuous(w)
             or any(not (1 << leaf[x]) & self.reach[x] for x in members)
-            or not any((1 << v) & ev for v, ev in zip(leaf, self.escape))
+            or all((1 << v) & ball for v, ball in zip(leaf, self.far))
         ):  # pragma: no cover - internal soundness guard
             raise RuntimeError("search produced an invalid limiting witness")
         return w
@@ -504,14 +494,6 @@ def search_minimal_freezing(
     return MinimalSearchResult(FOUND, frozenset(members) - removed, search.nodes)
 
 
-def _fixing(image: DigitalImage, fixed: Iterable[int]) -> List[int]:
-    """Full domains, except that each fixed vertex is pinned to itself."""
-    domains = [(1 << image.n) - 1] * image.n
-    for x in _check_subset(image, fixed):
-        domains[x] = 1 << x
-    return domains
-
-
 def enumerate_continuous_self_maps(
     image: DigitalImage,
     fixed: Iterable[int] = (),
@@ -529,28 +511,9 @@ def enumerate_continuous_self_maps(
         raise ValueError("enumeration is guarded to images with <= 64 vertices")
     if cap < 1:
         raise ValueError("cap must be positive")
-    leaves = _SelfMapSearch(image, budget).leaves(_fixing(image, fixed))
+    domains = [(1 << image.n) - 1] * image.n
+    for x in _check_subset(image, fixed):
+        domains[x] = 1 << x
+    leaves = _SelfMapSearch(image, budget).leaves(domains)
     count = sum(1 for _ in islice(leaves, cap + 1))
     return MapCount(count=count, exact=count <= cap)
-
-
-def random_continuous_map(
-    image: DigitalImage, fixed: Iterable[int] = (), seed: int = 0
-) -> Mapping:
-    """A seeded random continuous self-map fixing `fixed` pointwise.
-
-    The first leaf of the same search with `fixed` pinned, trying the values
-    of each branching vertex in an order shuffled by `seed`.  The identity is
-    a leaf, so one exists; a search that outruns the default budget raises
-    TimeoutError.
-    """
-    _require_connected(image)
-    rng = random.Random(seed)
-
-    def shuffled(mask: int) -> Iterator[int]:
-        values = list(bits(mask))
-        rng.shuffle(values)
-        return iter(values)
-
-    search = _SelfMapSearch(image, DEFAULT_BUDGET, shuffled)
-    return Mapping(image, image, next(search.leaves(_fixing(image, fixed))))

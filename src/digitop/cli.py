@@ -39,6 +39,7 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
 EXIT_CRASH = 4
+EXIT_INTERRUPT = 130  # 128 + SIGINT, as shells report it
 
 
 @click.group()
@@ -338,10 +339,18 @@ def cmd_paper_suite(ctx, scale, rows):
 
 
 def run() -> None:
-    """The installed entry point: `main`, except that an exception escaping
-    it prints its traceback on stderr and exits 4, since 1 means `fails`."""
+    """The installed entry point: `main`, with exit codes that cannot be read
+    as `fails` (1).  A usage error exits with its own code (2), an interrupt
+    (Ctrl-C, or end of input) 130, and any other exception that escapes
+    prints its traceback on stderr and exits 4."""
     try:
-        main()
+        sys.exit(main(standalone_mode=False))
+    except click.ClickException as exc:
+        exc.show()
+        sys.exit(exc.exit_code)
+    except click.Abort:
+        click.echo("Aborted!", err=True)
+        sys.exit(EXIT_INTERRUPT)
     except Exception:
         traceback.print_exc()
         sys.exit(EXIT_CRASH)

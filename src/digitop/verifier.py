@@ -35,6 +35,14 @@ it, stays viable and propagates without a wipeout, and its lowest values
 are the completion's.  So only the node and revision counts change.
 Enumeration does not try it: it wants every leaf.
 
+Every witness is checked again before it is returned, and a bad one raises
+RuntimeError: it must be continuous, keep each member x in B(x,m) and send
+some v outside B(v,n).  Continuity is checked only at the vertices the
+witness moves, N(x) into N*(f(x)) for each moved x.  An edge between two
+fixed vertices maps to itself, and adjacency is symmetric, so an edge with a
+moved endpoint is checked at that endpoint: this is the all-edge definition
+of `maps.is_continuous`, at the cost of the moved vertices' edges.
+
 The paper's unique-path and pulling lemmas are not engine rules, because
 the arc-consistency fixpoint already implies both:
 
@@ -56,8 +64,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from operator import and_
+from itertools import compress, islice
+from operator import and_, ne
 from typing import (
     Dict,
     FrozenSet,
@@ -71,7 +79,7 @@ from typing import (
 
 from .graph import DigitalImage, DisconnectedImageError, bits
 from .lattice import c1_boundary
-from .maps import Mapping, is_continuous
+from .maps import Mapping
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -233,6 +241,18 @@ class _SelfMapSearch:
                 return x
         return self.n
 
+    def _continuous_at(self, f: Sequence[int], xs: Iterable[int]) -> bool:
+        """Whether the map f keeps the edges at the vertices xs: f(y) lies in
+        N*(f(x)) for each x in xs and each neighbour y of x.  The values of
+        f are read unchecked, so they must be vertex ids."""
+        adj, nbhd = self.img._adj, self.img._nbhd_bits
+        for x in xs:
+            around = nbhd[f[x]]
+            for y in adj[x]:
+                if not around >> f[y] & 1:
+                    return False
+        return True
+
     def _lowest_completion(self, dom: List[int]) -> Optional[Tuple[int, ...]]:
         """The map sending each vertex to the lowest value in its domain, if
         it escapes and is continuous, else None.  `dom` is a fixpoint, so an
@@ -241,13 +261,9 @@ class _SelfMapSearch:
         low = [d & -d for d in dom]  # the lowest value, as a bit
         if all(map(and_, low, self.far)):
             return None
-        adj, nbhd = self.img._adj, self.img._nbhd_bits
-        for x, (dx, lx) in enumerate(zip(dom, low)):
-            if dx != lx:
-                around = nbhd[lx.bit_length() - 1]
-                if any(not low[y] & around for y in adj[x]):
-                    return None
-        return tuple(lx.bit_length() - 1 for lx in low)
+        leaf = tuple(lx.bit_length() - 1 for lx in low)
+        free = compress(range(self.n), map(ne, dom, low))
+        return leaf if self._continuous_at(leaf, free) else None
 
     def leaves(self, domains: Sequence[int]) -> Iterator[Tuple[int, ...]]:
         """Every viable leaf within `domains`, depth first, children in
@@ -294,19 +310,23 @@ class _SelfMapSearch:
     def counterexample(self, members: List[int]) -> Optional[Mapping]:
         """A continuous self-map sending each member x into reach[x] and some
         vertex v outside far[v], or None; raises _BudgetExceeded.  It is the
-        first leaf: a leaf with every v inside far[v] is not viable."""
+        first leaf: a leaf with every v inside far[v] is not viable.  A leaf
+        that is not such a map raises RuntimeError.  Its continuity is
+        checked at the vertices it moves: an edge whose ends are both fixed
+        maps to itself."""
         domains = [(1 << self.n) - 1] * self.n
         for x in members:
             domains[x] = self.reach[x]
         leaf = next(self.leaves(domains), None)
         if leaf is None:
             return None
-        w = Mapping(self.img, self.img, leaf)
+        w = Mapping(self.img, self.img, leaf)  # checks that values are ids
+        moved = compress(range(self.n), map(ne, leaf, range(self.n)))
         if (
-            not is_continuous(w)
+            not self._continuous_at(leaf, moved)
             or any(not (1 << leaf[x]) & self.reach[x] for x in members)
             or all((1 << v) & ball for v, ball in zip(leaf, self.far))
-        ):  # pragma: no cover - internal soundness guard
+        ):
             raise RuntimeError("search produced an invalid limiting witness")
         return w
 

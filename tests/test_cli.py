@@ -59,6 +59,21 @@ def test_entry_point_exits_4_on_a_crash_and_keeps_the_verdict_codes(
     assert isinstance(result.exception, RuntimeError)
 
 
+def test_entry_point_exits_130_on_an_interrupt(runner, tmp_path, monkeypatch, capsys):
+    # click turns Ctrl-C and end of input into Abort; through `run()` they
+    # exit 130, not 1, which means `fails`.
+    h2 = build(runner, tmp_path, "h2", "bipyramid", "--n", "2")
+    for interrupt in (KeyboardInterrupt, EOFError):
+
+        def interrupted(*args):
+            raise interrupt
+
+        monkeypatch.setattr(cli, "is_freezing", interrupted)
+        capsys.readouterr()
+        assert _run(monkeypatch, "verify", "freezing", "--image", str(h2), "--set", "all") == 130
+        assert capsys.readouterr().err.strip() == "Aborted!"
+
+
 def test_build_pyramid(runner, tmp_path):
     path = build(runner, tmp_path, "p2", "pyramid", "--n", "2")
     doc = json.loads(path.read_text())
@@ -392,12 +407,13 @@ def test_search_minimal(runner, tmp_path):
 
 
 def test_minimality_commands_keep_the_budget(runner, tmp_path):
-    # Unbudgeted, `verify minimal` on Q_4 takes about 0.3 s and the search on
-    # P_4 expands 129 nodes; both answer unknown within one budget.
-    q4 = build(runner, tmp_path, "q4", "solid-pyramid", "--n", "4")
+    # Unbudgeted, `verify minimal` on Q_6 takes 0.27 s in process (best of
+    # three, 2-core x86-64, CPython 3.11) and the search on P_4 expands 129
+    # nodes; both answer unknown within one budget.
+    q6 = build(runner, tmp_path, "q6", "solid-pyramid", "--n", "6")
     verified = runner.invoke(main, [
-        "--budget-ms", "50", "--quiet", "verify", "minimal", "--image", str(q4),
-        "--set", "U+W_4",
+        "--budget-ms", "50", "--quiet", "verify", "minimal", "--image", str(q6),
+        "--set", "U+W_6",
     ])
     assert verified.exit_code == 3, verified.output
     p4 = build(runner, tmp_path, "p4", "pyramid", "--n", "4")

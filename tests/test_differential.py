@@ -12,11 +12,13 @@ wipeout alike, must equal a naive one that revises every edge until
 nothing changes, and its viability check must equal the definition: some
 domain still holds a value outside its vertex's n-ball.  Switching off the
 root's lowest-value completion must change no answer and can only add
-nodes, on graphs of up to 11 vertices that no oracle reads.  The oracle's
-query graphs have at most 8 vertices and degree at most 3: the oracle
-enumerates continuous maps vertex by vertex, so this bounds its work by
-8 * 4^7 maps per query (a star on 8 vertices alone has more than 2
-million).
+nodes, on graphs of up to 11 vertices that no oracle reads.  The witness
+guard, which checks continuity only at the vertices a leaf moves, must
+reject exactly the leaves that `maps.is_continuous` rejects, or that move
+nothing.  The oracle's query graphs have at most 8 vertices and degree at
+most 3: the oracle enumerates continuous maps vertex by vertex, so this
+bounds its work by 8 * 4^7 maps per query (a star on 8 vertices alone has
+more than 2 million).
 """
 
 import math
@@ -37,6 +39,7 @@ from digitop.constructions import (
 )
 from digitop.graph import DigitalImage, DisconnectedImageError
 from digitop.maps import (
+    Mapping,
     fixed_points,
     is_continuous,
     max_displacement,
@@ -165,6 +168,30 @@ def test_the_root_completion_changes_no_answer(query, m, n):
     for (answer, nodes), (walked_answer, walked_nodes) in zip(probed, walked):
         assert answer == walked_answer
         assert nodes <= walked_nodes
+
+
+@bounded
+@given(connected_queries(), st.integers(0, 2**32), st.data())
+def test_the_witness_guard_equals_the_all_edge_continuity_check(query, seed, data):
+    """The guard in `counterexample` reads only the edges at the vertices a
+    leaf moves, since an edge between two fixed vertices maps to itself.  Fed
+    a continuous map, and the same map with one vertex re-assigned, a
+    freezing search with no members must reject the leaf exactly when
+    `maps.is_continuous` does or when the leaf moves nothing."""
+    image, fixed = query
+    f = random_continuous_map(image, fixed, seed).assignment
+    vertex = st.integers(0, image.n - 1)
+    x, v = data.draw(vertex), data.draw(vertex)
+    for leaf in (f, f[:x] + (v,) + f[x + 1:]):
+        search = _SelfMapSearch(image, DEFAULT_BUDGET)
+        search.limit(0, 0)
+        search.leaves = lambda domains, leaf=leaf: iter([leaf])
+        valid = is_continuous(Mapping(image, image, leaf)) and leaf != tuple(range(image.n))
+        if valid:
+            assert search.counterexample([]).assignment == leaf
+        else:
+            with pytest.raises(RuntimeError, match="invalid limiting witness"):
+                search.counterexample([])
 
 
 def naive_arc_consistency(image, domains):

@@ -347,6 +347,25 @@ def test_the_search_keeps_only_the_balls():
         assert per_vertex == ["reach", "far"]
 
 
+def test_the_witness_guard_raises_on_each_kind_of_invalid_leaf(monkeypatch):
+    # A freezing search of C_8 with member 0 is fed three leaves, each wrong
+    # in one way only: not continuous (4 jumps to 0), a member outside its
+    # reach (a rotation moves 0), and no vertex outside its far ball (the
+    # identity).  The guard in `counterexample` must reject each one.
+    c8 = simple_closed_curve(8).image
+    identity = tuple(range(8))
+    jump = identity[:4] + (0,) + identity[5:]
+    turn = tuple((v + 1) % 8 for v in range(8))
+    assert not is_continuous(Mapping(c8, c8, jump))
+    assert is_continuous(Mapping(c8, c8, turn))
+    for leaf in (jump, turn, identity):
+        search = _SelfMapSearch(c8, DEFAULT_BUDGET)
+        search.limit(0, 0)
+        monkeypatch.setattr(search, "leaves", lambda domains, leaf=leaf: iter([leaf]))
+        with pytest.raises(RuntimeError, match="invalid limiting witness"):
+            search.counterexample([0])
+
+
 def test_the_root_completion_answers_in_one_node():
     # After root propagation the map sending each vertex to the lowest value
     # in its domain escapes and is continuous, so it is the witness: the one
@@ -404,18 +423,19 @@ def test_a_radius_past_the_diameter_is_answered_within_the_budget():
 
 
 def test_time_budget_is_kept_in_root_propagation_and_search():
-    # Unbudgeted, the freezing query searches C_3000 for about 3.8 s, and the
-    # s-cold query spends 1.1-1.2 s in root propagation on [0,21]^3 under
-    # c_1 before it answers holds at the root: several times the bound, so a
-    # propagation that never reads the clock fails every run.
+    # Unbudgeted, the freezing query searches C_3000 for 3.5-3.8 s, and the
+    # s-cold query spends 0.95-1.0 s in root propagation on [0,24]^3 under
+    # c_1 before it answers holds at the root (2-core x86-64, CPython 3.11):
+    # several times the bound, so a propagation that never reads the clock
+    # fails every run.
     budget = SearchBudget(max_millis=50)
     slack_ms = 250
     c3000 = simple_closed_curve(3000).image
-    b22 = box([22, 22, 22], 1)
-    corners = sorted(b22.named_sets["corners"])
+    b24 = box([24, 24, 24], 1)
+    corners = sorted(b24.named_sets["corners"])
     for query in (
         lambda: is_freezing(c3000, [2998, 2999], budget).verdict,
-        lambda: is_s_cold(b22.image, corners, 1, budget).verdict,
+        lambda: is_s_cold(b24.image, corners, 1, budget).verdict,
     ):
         assert _best_of_three_ms(query, UNKNOWN) <= budget.max_millis + slack_ms
 
@@ -447,17 +467,17 @@ def test_search_branches_on_the_lowest_free_vertex_id():
 
 
 def test_minimality_queries_spend_one_time_budget():
-    # Unbudgeted, the minimality check on Q_7 takes 1.3-1.7 s and the search
-    # on Q_6 about 1.25 s: a budget restarted for each sub-query overruns the
-    # bound in every run.
+    # Unbudgeted, the minimality check on Q_8 takes 1.1-1.2 s and the search
+    # on Q_7 0.8 s (best of three, 2-core x86-64, CPython 3.11): a budget
+    # restarted for each sub-query overruns the bound in every run.
     budget = SearchBudget(max_millis=50)
     slack_ms = 250
-    q7 = solid_pyramid(7)
-    members = q7.named_sets["U"] | q7.named_sets["W_7"]
-    q6 = solid_pyramid(6).image
+    q8 = solid_pyramid(8)
+    members = q8.named_sets["U"] | q8.named_sets["W_8"]
+    q7 = solid_pyramid(7).image
     for query in (
-        lambda: is_minimal_freezing(q7.image, members, budget).verdict,
-        lambda: search_minimal_freezing(q6, None, budget).status,
+        lambda: is_minimal_freezing(q8.image, members, budget).verdict,
+        lambda: search_minimal_freezing(q7, None, budget).status,
     ):
         assert _best_of_three_ms(query, UNKNOWN) <= budget.max_millis + slack_ms
 
